@@ -1,11 +1,14 @@
 """Evaluation-engine throughput: serial vs. cached vs. parallel vs. vectorized DSE.
 
-Measures evaluations/second over a fixed DSE candidate set in four
+Measures evaluations/second over a fixed DSE candidate set in five
 modes and appends the result to a ``BENCH_eval.json`` trajectory so the
 engine's throughput is tracked across commits:
 
 * ``serial``     — the seed path: every candidate re-derived from
-  scratch (``NULL_CACHE``), one thread.
+  scratch (``NULL_CACHE``), one thread, tile plans chosen by the frozen
+  seed tiling loop (:func:`repro.bench.reference.seed_explore`).
+* ``library``    — the same uncached single-thread exploration through
+  the library's array tiling search.
 * ``cached``     — the memoization layer enabled, one thread.
 * ``parallel``   — memoization plus ``parallel_map`` fan-out.
 * ``vectorized`` — the batch evaluation kernel: one NumPy coarse pass
@@ -15,8 +18,9 @@ engine's throughput is tracked across commits:
 The engine's contract is a declarative gate list judged by
 :mod:`repro.bench.regression`: cached+parallel exploration is at least
 2x the seed serial path on the same candidate set, the vectorized path
-is at least 10x, and the top-10 rankings are byte-identical between
-serial, parallel, and vectorized runs.  The floors are recorded into
+is at least 10x, the library's uncached serial path (its tiling search)
+is at least 5x, and the top-10 rankings are byte-identical between the
+seed serial, library, parallel, and vectorized runs.  The floors are recorded into
 every trajectory entry, so later runs gate against the committed
 values rather than this file's defaults.
 
@@ -32,8 +36,11 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
+from repro.bench.reference import seed_explore
 from repro.bench.regression import Gate, check_entry, failure_messages
 from repro.bench.scenarios import EVAL_WORKLOAD, ranking_bytes
 from repro.bench.trajectory import append_trajectory
@@ -45,14 +52,16 @@ from repro.workloads.gemm import GemmShape
 DEFAULT_WORKLOAD = EVAL_WORKLOAD
 SPEEDUP_FLOOR = 2.0
 VECTORIZED_SPEEDUP_FLOOR = 10.0
+TILING_SPEEDUP_FLOOR = 5.0
 
 #: the engine's contract, declaratively (judged by check_entry)
 GATES = (
     Gate(metric="rankings_identical", kind="flag",
-         label="serial, parallel, and vectorized top-10 rankings differ"),
+         label="seed serial, library, parallel, and vectorized top-10 rankings differ"),
     Gate(metric="speedup_cached_parallel", kind="floor", value=SPEEDUP_FLOOR),
     Gate(metric="speedup_vectorized", kind="floor",
          value=VECTORIZED_SPEEDUP_FLOOR),
+    Gate(metric="speedup_tiling", kind="floor", value=TILING_SPEEDUP_FLOOR),
 )
 
 
@@ -70,12 +79,12 @@ def _explorer(
 
 
 def _time_mode(
-    explorer: DesignSpaceExplorer, workload: GemmShape, repeats: int
+    explore: Callable[[GemmShape], DseResult], workload: GemmShape, repeats: int
 ) -> tuple[float, DseResult]:
     start = time.perf_counter()
-    result = explorer.explore(workload)
+    result = explore(workload)
     for _ in range(repeats - 1):
-        result = explorer.explore(workload)
+        result = explore(workload)
     return time.perf_counter() - start, result
 
 
@@ -89,20 +98,26 @@ def run_benchmark(
     evaluations = num_candidates * repeats
 
     serial_seconds, serial_result = _time_mode(
-        _explorer(max_aies, 1, NullCache()), workload, repeats
+        partial(seed_explore, _explorer(max_aies, 1, NullCache())), workload, repeats
+    )
+    library_seconds, library_result = _time_mode(
+        _explorer(max_aies, 1, NullCache()).explore, workload, repeats
     )
     cached_seconds, _ = _time_mode(
-        _explorer(max_aies, 1, EvalCache()), workload, repeats
+        _explorer(max_aies, 1, EvalCache()).explore, workload, repeats
     )
     parallel_seconds, parallel_result = _time_mode(
-        _explorer(max_aies, jobs, EvalCache()), workload, repeats
+        _explorer(max_aies, jobs, EvalCache()).explore, workload, repeats
     )
     vectorized_seconds, vectorized_result = _time_mode(
-        _explorer(max_aies, jobs, EvalCache(), vectorize=True), workload, repeats
+        _explorer(max_aies, jobs, EvalCache(), vectorize=True).explore,
+        workload,
+        repeats,
     )
 
     modes = {
         "serial": serial_seconds,
+        "library": library_seconds,
         "cached": cached_seconds,
         "parallel": parallel_seconds,
         "vectorized": vectorized_seconds,
@@ -123,12 +138,15 @@ def run_benchmark(
         "speedup_cached": serial_seconds / cached_seconds,
         "speedup_cached_parallel": serial_seconds / parallel_seconds,
         "speedup_vectorized": serial_seconds / vectorized_seconds,
+        "speedup_tiling": serial_seconds / library_seconds,
         "rankings_identical": ranking_bytes(serial_result)
+        == ranking_bytes(library_result)
         == ranking_bytes(parallel_result)
         == ranking_bytes(vectorized_result),
         "floors": {
             "speedup_cached_parallel": SPEEDUP_FLOOR,
             "speedup_vectorized": VECTORIZED_SPEEDUP_FLOOR,
+            "speedup_tiling": TILING_SPEEDUP_FLOOR,
         },
     }
 
@@ -177,6 +195,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"speedup (cached):          {entry['speedup_cached']:.2f}x")
     print(f"speedup (cached+parallel): {entry['speedup_cached_parallel']:.2f}x")
     print(f"speedup (vectorized):      {entry['speedup_vectorized']:.2f}x")
+    print(f"speedup (tiling search):   {entry['speedup_tiling']:.2f}x")
     print(f"rankings identical:        {entry['rankings_identical']}")
     print(f"trajectory -> {args.output}")
 

@@ -27,6 +27,7 @@ Noise routing per kind:
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import Any, Sequence
 
 from repro.bench.noise import (
@@ -365,9 +366,10 @@ class EvalThroughputExperiment(Experiment):
 
     A pure wall-clock experiment (the harness analogue of
     ``benchmarks/bench_eval_throughput.py``): serial seed-path
-    exploration vs cached+parallel vs vectorized, with byte-identical
-    ranking verification.  Noise models make no sense here — wall time
-    is the measured quantity — so passing any is an error.
+    exploration (uncached, frozen seed tiling loop) vs cached+parallel
+    vs vectorized, with byte-identical ranking verification.  Noise
+    models make no sense here — wall time is the measured quantity — so
+    passing any is an error.
     """
 
     kind = "eval"
@@ -392,12 +394,11 @@ class EvalThroughputExperiment(Experiment):
             "jobs": self.jobs,
         }
 
-    def _explore(self, jobs: int, cache, vectorize: bool = False):
+    def _explorer(self, jobs: int, cache, vectorize: bool = False):
         from repro.core.dse import DesignSpaceExplorer
-
         from repro.kernels.precision import Precision
 
-        explorer = DesignSpaceExplorer(
+        return DesignSpaceExplorer(
             Precision.FP32,
             max_aies=self.max_aies,
             explore_ports=True,
@@ -405,15 +406,18 @@ class EvalThroughputExperiment(Experiment):
             cache=cache,
             vectorize=vectorize,
         )
+
+    def _time(self, explore):
         started = time.perf_counter()
-        result = explorer.explore(self.workload)
+        result = explore(self.workload)
         for _ in range(self.inner_repeats - 1):
-            result = explorer.explore(self.workload)
+            result = explore(self.workload)
         return time.perf_counter() - started, result
 
     def run_repeat(
         self, repeat_seed: int, noise: list[NoiseModel] | None
     ) -> dict[str, float]:
+        from repro.bench.reference import seed_explore
         from repro.perf.cache import EvalCache, NullCache
 
         if noise:
@@ -421,10 +425,14 @@ class EvalThroughputExperiment(Experiment):
                 "the eval experiment measures wall-clock engine throughput; "
                 "noise models do not apply"
             )
-        serial_seconds, serial = self._explore(1, NullCache())
-        parallel_seconds, parallel = self._explore(self.jobs, EvalCache())
-        vectorized_seconds, vectorized = self._explore(
-            self.jobs, EvalCache(), vectorize=True
+        serial_seconds, serial = self._time(
+            partial(seed_explore, self._explorer(1, NullCache()))
+        )
+        parallel_seconds, parallel = self._time(
+            self._explorer(self.jobs, EvalCache()).explore
+        )
+        vectorized_seconds, vectorized = self._time(
+            self._explorer(self.jobs, EvalCache(), vectorize=True).explore
         )
         identical = (
             ranking_bytes(serial) == ranking_bytes(parallel) == ranking_bytes(vectorized)

@@ -51,6 +51,11 @@ class DsePoint:
         return self.config.num_plios
 
 
+def rank_key(point: DsePoint) -> tuple[float, int, int]:
+    """The DSE ranking order: latency, then fewer AIEs, then fewer PLIOs."""
+    return (point.seconds, point.num_aies, point.num_plios)
+
+
 class DseResult(list):
     """Ranked :class:`DsePoint` list plus evaluation accounting.
 
@@ -223,7 +228,7 @@ class DesignSpaceExplorer:
             explore_span.set(
                 evaluated=stats.evaluations, skipped=stats.skipped
             )
-            points.sort(key=lambda p: (p.seconds, p.num_aies, p.num_plios))
+            points.sort(key=rank_key)
             return DseResult(points[:top], stats)
 
     def best(self, workload: GemmShape) -> DsePoint:

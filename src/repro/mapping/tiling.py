@@ -29,9 +29,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from repro.hw.specs import DeviceSpec, VCK5000
 from repro.kernels.precision import Precision
 from repro.workloads.gemm import GemmShape
+
+#: default ceiling on each PL-tile multiple ``(am, ak, an)``
+MAX_TILE_MULTIPLE = 16
+
+#: problems searched per chunk: bounds the transient (chunk, 16, 16, 16)
+#: grids of :func:`search_tilings` to a few MB regardless of batch size
+_SEARCH_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -168,6 +177,117 @@ class TilePlan:
         return 1.0 / tk
 
 
+def search_tilings(
+    workloads: np.ndarray,
+    natives: np.ndarray,
+    precision: Precision,
+    double_buffered: np.ndarray,
+    budget_bytes: np.ndarray,
+    max_multiple: int = MAX_TILE_MULTIPLE,
+    objective: Callable[[TilePlan], float] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Choose PL-tile multiples for a batch of tiling problems at once.
+
+    Row ``i`` of the ``(N, 3)`` integer arrays ``workloads`` and
+    ``natives`` is one ``(m, k, n)`` problem, planned with
+    ``double_buffered[i]`` against ``budget_bytes[i]`` of PL memory.
+    Every ``(am, ak, an)`` cell up to ``min(max_multiple, padded //
+    native)`` per dimension is scored at once: the objective (total DRAM
+    traffic by default; ``objective`` evaluated on the fitting cells'
+    :class:`TilePlan` objects otherwise) is minimised, fewest DRAM tiles
+    breaks ties, and the first cell in ``(am, ak, an)`` loop order breaks
+    the rest.  Returns ``(multiples, found)``: the ``(N, 3)`` chosen
+    multiples and a mask that is False where not even ``(1, 1, 1)`` fits
+    (those rows hold ``(1, 1, 1)``).
+    """
+    if max_multiple < 1:
+        raise ValueError(f"max_multiple must be >= 1, got {max_multiple}")
+    workloads = np.asarray(workloads, dtype=np.int64)
+    natives = np.asarray(natives, dtype=np.int64)
+    double_buffered = np.asarray(double_buffered, dtype=bool)
+    budget_bytes = np.asarray(budget_bytes)
+    n = workloads.shape[0]
+    multiples = np.ones((n, 3), dtype=np.int64)
+    found = np.zeros(n, dtype=bool)
+    for start in range(0, n, _SEARCH_CHUNK):
+        rows = slice(start, min(start + _SEARCH_CHUNK, n))
+        multiples[rows], found[rows] = _search_chunk(
+            workloads[rows],
+            natives[rows],
+            precision,
+            double_buffered[rows],
+            budget_bytes[rows],
+            max_multiple,
+            objective,
+        )
+    return multiples, found
+
+
+def _search_chunk(workloads, natives, precision, double_buffered, budget_bytes,
+                  max_multiple, objective):
+    """:func:`search_tilings` over one chunk of rows."""
+    c = workloads.shape[0]
+    eb = precision.element_bytes
+    padded = -(-workloads // natives) * natives
+    limits = np.minimum(max_multiple, padded // natives)
+    shape = tuple(int(x) for x in limits.max(axis=0))
+    am = np.arange(1, shape[0] + 1, dtype=np.int64)[None, :, None, None]
+    ak = np.arange(1, shape[1] + 1, dtype=np.int64)[None, None, :, None]
+    an = np.arange(1, shape[2] + 1, dtype=np.int64)[None, None, None, :]
+
+    def per(column: np.ndarray) -> np.ndarray:
+        return column[:, None, None, None]
+
+    def cells(values: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(values, (c, *shape)).reshape(c, -1)
+
+    pm, pk, pn = (per(padded[:, i]) for i in range(3))
+    tile_m = per(natives[:, 0]) * am
+    tile_k = per(natives[:, 1]) * ak
+    tile_n = per(natives[:, 2]) * an
+    # TilePlan.fits
+    footprint = np.where(per(double_buffered), 2, 1) * (
+        (tile_m * tile_k + tile_k * tile_n + tile_m * tile_n) * eb
+    )
+    valid = cells(
+        (am <= per(limits[:, 0]))
+        & (ak <= per(limits[:, 1]))
+        & (an <= per(limits[:, 2]))
+        & (footprint <= per(budget_bytes))
+    )
+    # TilePlan.dram_tile_counts and TilePlan.traffic
+    tm = -(-pm // tile_m)
+    tk = -(-pk // tile_k)
+    tn = -(-pn // tile_n)
+    if objective is None:
+        traffic = (pm * pk * eb) * tn + (pk * pn * eb) * tm + pm * pn * eb
+        score = np.where(valid, cells(traffic.astype(np.float64)), np.inf)
+    else:
+        score = np.full(valid.shape, np.inf)
+        row, cell = np.nonzero(valid)  # loop order within each row
+        score[row, cell] = [
+            objective(
+                TilePlan(
+                    GemmShape(*workloads[i].tolist()),
+                    GemmShape(*natives[i].tolist()),
+                    precision,
+                    (ia + 1, ik + 1, in_ + 1),
+                    bool(double_buffered[i]),
+                )
+            )
+            for i, ia, ik, in_ in zip(
+                row.tolist(), *(x.tolist() for x in np.unravel_index(cell, shape))
+            )
+        ]
+    tied = valid & (score == score.min(axis=1, keepdims=True))
+    tiles = np.where(tied, cells(tm * tk * tn), np.iinfo(np.int64).max)
+    # argmax finds the first cell on both keys: the one a loop with a
+    # strict ``<`` keeps, since it never replaces an equal key (and cell
+    # 0, i.e. (1, 1, 1), on a row where nothing fits)
+    first = (tied & (tiles == tiles.min(axis=1, keepdims=True))).argmax(axis=1)
+    return np.stack(np.unravel_index(first, shape), axis=1) + 1, valid.any(axis=1)
+
+
 def plan_tiling(
     workload: GemmShape,
     native: GemmShape,
@@ -175,7 +295,7 @@ def plan_tiling(
     device: DeviceSpec = VCK5000,
     double_buffered: bool = True,
     objective: Callable[[TilePlan], float] | None = None,
-    max_multiple: int = 16,
+    max_multiple: int = MAX_TILE_MULTIPLE,
     budget_bytes: int | None = None,
 ) -> TilePlan:
     """Choose PL-tile multiples minimising ``objective`` within PL memory.
@@ -183,30 +303,23 @@ def plan_tiling(
     The default objective is total DRAM traffic (with tile count as the
     tie-breaker), which is what CHARM's DSE optimises for memory-bound
     workloads.  Raises if even the minimal (1, 1, 1) plan does not fit.
+    A batch of one for :func:`search_tilings`.
     """
-    padded = workload.padded_to(native)
-    limits = (
-        min(max_multiple, padded.m // native.m),
-        min(max_multiple, padded.k // native.k),
-        min(max_multiple, padded.n // native.n),
+    budget = device.pl_usable_bytes if budget_bytes is None else budget_bytes
+    multiples, found = search_tilings(
+        np.array([[workload.m, workload.k, workload.n]]),
+        np.array([[native.m, native.k, native.n]]),
+        precision,
+        np.array([double_buffered]),
+        np.array([budget]),
+        max_multiple,
+        objective,
     )
-    best: TilePlan | None = None
-    best_key: tuple[float, float] | None = None
-    for am in range(1, limits[0] + 1):
-        for ak in range(1, limits[1] + 1):
-            for an in range(1, limits[2] + 1):
-                plan = TilePlan(workload, native, precision, (am, ak, an), double_buffered)
-                if not plan.fits(device, budget_bytes):
-                    continue
-                score = objective(plan) if objective else float(plan.traffic().total)
-                key = (score, float(plan.num_dram_tiles))
-                if best_key is None or key < best_key:
-                    best, best_key = plan, key
-    if best is None:
+    if not found[0]:
         minimal = TilePlan(workload, native, precision, (1, 1, 1), double_buffered)
-        budget = device.pl_usable_bytes if budget_bytes is None else budget_bytes
         raise ValueError(
             f"no tile plan fits: native {native} needs "
             f"{minimal.pl_footprint_bytes()} B, budget is {budget} B"
         )
-    return best
+    am, ak, an = multiples[0].tolist()
+    return TilePlan(workload, native, precision, (am, ak, an), double_buffered)

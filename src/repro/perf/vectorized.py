@@ -4,8 +4,8 @@ The batch drivers (DSE, sweeps, sensitivity, serving prewarm) are
 embarrassingly data-parallel: the same Eq. 1 / Eq. 2 closed forms applied
 to thousands of ``(design, workload)`` candidates.  The scalar path pays
 full Python object overhead per candidate — a :class:`CharmDesign`, an
-``AnalyticalModel``, a 16x16x16 ``plan_tiling`` search building a
-``TilePlan`` per grid cell.  This module evaluates *arrays* of candidates
+``AnalyticalModel``, an ``Estimate`` and a batch-of-one call into the
+array tiling search.  This module evaluates *arrays* of candidates
 instead:
 
 * :class:`CandidateGrid` — a structure-of-arrays batch: grouping factors
@@ -13,11 +13,11 @@ instead:
   bandwidths, per-candidate device scalars and workload shapes.
 * :func:`batch_estimate` — NumPy array expressions mirroring
   ``AnalyticalModel.estimate`` operation-for-operation: the PL<->AIE
-  stream/compute times (Eq. 1), the vectorized DRAM-level tile-plan
-  search (the exact ``plan_tiling`` objective and tie-breaks), the
-  DRAM<->PL phase times (Eq. 2) and the total latency, plus a
-  feasibility mask so infeasible candidates are *counted*, not silently
-  dropped.
+  stream/compute times (Eq. 1), the DRAM-level tile-plan choice (the
+  same :func:`repro.mapping.tiling.search_tilings` call ``plan_tiling``
+  makes, over the whole grid at once), the DRAM<->PL phase times
+  (Eq. 2) and the total latency, plus a feasibility mask so infeasible
+  candidates are *counted*, not silently dropped.
 
 Faithfulness contract: every arithmetic step replicates the scalar
 model's operation order in float64, so batch totals agree with the
@@ -49,18 +49,12 @@ from repro.kernels.gemm_kernel import (
 from repro.kernels.precision import Precision
 from repro.kernels.programming import KernelStyle, style_parameters
 from repro.mapping.grouping import pack_depth_for
+from repro.mapping.tiling import MAX_TILE_MULTIPLE, search_tilings
 from repro.workloads.gemm import GemmShape
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports perf)
     from repro.core.analytical_model import Estimate
     from repro.mapping.charm import CharmDesign
-
-#: mirror of ``plan_tiling``'s default PL-tile multiple ceiling
-MAX_TILE_MULTIPLE = 16
-
-#: candidates processed per tile-planning chunk: bounds the transient
-#: (chunk, 16, 16, 16) grids to a few MB regardless of batch size
-_PLAN_CHUNK = 128
 
 
 def _int_array(values) -> np.ndarray:
@@ -462,85 +456,6 @@ def _design_valid_mask(grid: CandidateGrid) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Vectorized tile planning (mirrors mapping.tiling.plan_tiling)
-# ----------------------------------------------------------------------
-def _plan_tiles(
-    grid: CandidateGrid, max_multiple: int = MAX_TILE_MULTIPLE
-) -> tuple[np.ndarray, np.ndarray]:
-    """Choose PL-tile multiples per candidate; returns (multiples, found).
-
-    Evaluates the full ``(am, ak, an)`` grid per candidate with the exact
-    scalar objective — total DRAM traffic, tile count as tie-breaker,
-    first-in-iteration-order winning further ties — and masks candidates
-    for which no plan fits the PL memory (the scalar ``ValueError``).
-    """
-    n = len(grid)
-    nm, nk, nn = grid.native_m, grid.native_k, grid.native_n
-    padded_m = ((grid.wm + nm - 1) // nm) * nm
-    padded_k = ((grid.wk + nk - 1) // nk) * nk
-    padded_n = ((grid.wn + nn - 1) // nn) * nn
-    lim_m = np.minimum(max_multiple, padded_m // nm)
-    lim_k = np.minimum(max_multiple, padded_k // nk)
-    lim_n = np.minimum(max_multiple, padded_n // nn)
-    lm = int(lim_m.max(initial=1))
-    lk = int(lim_k.max(initial=1))
-    ln = int(lim_n.max(initial=1))
-    am = np.arange(1, lm + 1, dtype=np.int64)[None, :, None, None]
-    ak = np.arange(1, lk + 1, dtype=np.int64)[None, None, :, None]
-    an = np.arange(1, ln + 1, dtype=np.int64)[None, None, None, :]
-    eb = grid.precision.element_bytes
-    factor = np.where(grid.pl_double_buffered, 2, 1).astype(np.int64)
-
-    multiples = np.ones((n, 3), dtype=np.int64)
-    found = np.zeros(n, dtype=bool)
-    for start in range(0, n, _PLAN_CHUNK):
-        sl = slice(start, min(start + _PLAN_CHUNK, n))
-
-        def per(v: np.ndarray) -> np.ndarray:
-            return v[sl, None, None, None]
-
-        tile_m = per(nm) * am
-        tile_k = per(nk) * ak
-        tile_n = per(nn) * an
-        footprint = per(factor) * (
-            (tile_m * tile_k + tile_k * tile_n + tile_m * tile_n) * eb
-        )
-        valid = (
-            (am <= per(lim_m))
-            & (ak <= per(lim_k))
-            & (an <= per(lim_n))
-            & (footprint <= per(grid.pl_budget_bytes))
-        )
-        tm = -(-per(padded_m) // tile_m)
-        tk = -(-per(padded_k) // tile_k)
-        tn = -(-per(padded_n) // tile_n)
-        score = (
-            per(padded_m * padded_k * eb) * tn
-            + per(padded_k * padded_n * eb) * tm
-            + per(padded_m * padded_n * eb)
-        ).astype(np.float64)
-        tiles = (tm * tk * tn).astype(np.float64)
-
-        c = sl.stop - sl.start
-        score_flat = np.where(valid, score, np.inf).reshape(c, -1)
-        best_score = score_flat.min(axis=1)
-        chunk_found = np.isfinite(best_score)
-        tiles_flat = np.where(
-            score_flat == best_score[:, None], tiles.reshape(c, -1), np.inf
-        )
-        best_tiles = tiles_flat.min(axis=1)
-        # argmax finds the first cell matching both keys — the same
-        # candidate the scalar loop keeps (strict < never replaces ties)
-        first = (tiles_flat == best_tiles[:, None]).argmax(axis=1)
-        ia, ik, in_ = np.unravel_index(first, (lm, lk, ln))
-        multiples[sl, 0] = ia + 1
-        multiples[sl, 1] = ik + 1
-        multiples[sl, 2] = in_ + 1
-        found[sl] = chunk_found
-    return multiples, found
-
-
-# ----------------------------------------------------------------------
 # The batch kernel
 # ----------------------------------------------------------------------
 def batch_estimate(
@@ -549,10 +464,18 @@ def batch_estimate(
     """Evaluate Eqs. 1 and 2 for every candidate in ``grid`` at once.
 
     Every expression below mirrors one line of the scalar model (noted
-    in comments) with identical float64 operation order.
+    in comments) with identical float64 operation order; the tile plans
+    come from the tiling search the scalar model itself uses.
     """
     design_valid = _design_valid_mask(grid)
-    multiples, plan_found = _plan_tiles(grid, max_multiple)
+    multiples, plan_found = search_tilings(
+        np.stack([grid.wm, grid.wk, grid.wn], axis=1),
+        np.stack([grid.native_m, grid.native_k, grid.native_n], axis=1),
+        grid.precision,
+        grid.pl_double_buffered,
+        grid.pl_budget_bytes,
+        max_multiple,
+    )
     feasible = design_valid & plan_found
     am, ak, an = multiples[:, 0], multiples[:, 1], multiples[:, 2]
 

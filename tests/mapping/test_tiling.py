@@ -1,14 +1,44 @@
 """Three-level tiling tests (Fig. 2 / Section IV-A)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.bench.reference import seed_plan_tiling
+from repro.core.dse import DesignSpaceExplorer
 from repro.hw.specs import VCK5000
 from repro.kernels.precision import Precision
 from repro.mapping.tiling import TilePlan, plan_tiling
+from repro.perf.cache import NullCache
+from repro.workloads.dnn import DNN_WORKLOADS
 from repro.workloads.gemm import GemmShape
 
 NATIVE_C6 = GemmShape(384, 128, 256)
 NATIVE_C1 = GemmShape(32, 128, 128)
+
+
+def dse_natives(precision: Precision) -> list[GemmShape]:
+    """Every distinct native size the full-device DSE grid proposes."""
+    designs = DesignSpaceExplorer(precision, cache=NullCache()).candidates()
+    return sorted({design.native_size for design in designs})
+
+
+FP32_NATIVES = dse_natives(Precision.FP32)
+ALL_NATIVES = sorted(set(FP32_NATIVES) | set(dse_natives(Precision.INT8)))
+
+#: custom objectives the array search must honour like the seed loop
+OBJECTIVES = (
+    lambda plan: plan.num_dram_tiles,
+    lambda plan: -plan.pl_footprint_bytes(),
+    lambda plan: float(plan.traffic().read_a),
+)
+
+
+def outcome(planner, *args, **kwargs):
+    """The chosen multiples, or the error text when no plan fits."""
+    try:
+        return planner(*args, **kwargs).multiples
+    except ValueError as error:
+        return str(error)
 
 
 def make_plan(multiples=(1, 1, 1), workload=GemmShape(2048, 2048, 2048),
@@ -156,3 +186,56 @@ class TestPlanSearch:
     def test_small_workload_single_tile(self):
         plan = plan_tiling(NATIVE_C1, NATIVE_C1, Precision.FP32)
         assert plan.num_dram_tiles == 1
+
+    def test_max_multiple_below_one_is_rejected(self):
+        # (1, 1, 1) fits this budget, so "no tile plan fits" would be false
+        with pytest.raises(ValueError, match="max_multiple must be >= 1, got 0"):
+            plan_tiling(
+                GemmShape(1024, 1024, 1024),
+                GemmShape(64, 32, 64),
+                Precision.FP32,
+                max_multiple=0,
+            )
+
+
+class TestSearchMatchesSeedLoop:
+    """The array search against the frozen seed loop it replaced."""
+
+    @pytest.mark.parametrize("double_buffered", [True, False])
+    @pytest.mark.parametrize("workload", DNN_WORKLOADS, ids=lambda w: w.workload_id)
+    def test_fp32_dse_natives_on_table_iii(self, workload, double_buffered):
+        for native in FP32_NATIVES:
+            args = (workload.shape, native, Precision.FP32)
+            kwargs = {"double_buffered": double_buffered}
+            assert outcome(plan_tiling, *args, **kwargs) == outcome(
+                seed_plan_tiling, *args, **kwargs
+            )
+
+    @given(
+        workload=st.builds(
+            GemmShape,
+            st.integers(1, 5000),
+            st.integers(1, 5000),
+            st.integers(1, 5000),
+        ),
+        native=st.sampled_from(ALL_NATIVES),
+        precision=st.sampled_from(list(Precision)),
+        double_buffered=st.booleans(),
+        budget_bytes=st.one_of(st.none(), st.integers(1024, 2**25)),
+        max_multiple=st.integers(1, 20),
+        objective=st.one_of(st.none(), st.sampled_from(OBJECTIVES)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_plan_or_same_error(
+        self, workload, native, precision, double_buffered, budget_bytes,
+        max_multiple, objective,
+    ):
+        kwargs = {
+            "double_buffered": double_buffered,
+            "budget_bytes": budget_bytes,
+            "max_multiple": max_multiple,
+            "objective": objective,
+        }
+        assert outcome(plan_tiling, workload, native, precision, **kwargs) == outcome(
+            seed_plan_tiling, workload, native, precision, **kwargs
+        )

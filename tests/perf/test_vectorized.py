@@ -229,6 +229,11 @@ class TestCandidateGrid:
             if feasible:
                 assert float(batch.total_seconds[i]) == total
 
+    def test_max_multiple_below_one_is_rejected(self):
+        batch = CandidateGrid.from_designs([CharmDesign(config_by_name("C1"))], WORKLOAD)
+        with pytest.raises(ValueError, match="max_multiple must be >= 1, got 0"):
+            batch_estimate(batch, max_multiple=0)
+
     def test_estimate_raises_for_infeasible_index(self):
         starved = dataclasses.replace(VCK5000, pl_usable_fraction=0.001)
         design = CharmDesign(config_by_name("C6"), device=starved)
