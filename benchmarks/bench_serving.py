@@ -12,15 +12,14 @@ and appends the result to a ``BENCH_serving.json`` trajectory:
   structure-of-arrays trace generation, table dispatch, and the
   streaming report (O(1) memory, sketched percentiles).
 * ``vectorized`` — the event-batch engine: the same SoA trace driven
-  through the fault-free vectorized dispatch path (native exact loop
-  with a NumPy speculate-and-verify fallback).
+  through the native k-wide dispatch kernel.
 * ``sharded`` — cluster-scale serving: the trace partitioned across a
   process pool of shard replicas (``ShardedServingCluster``), each
   running the vectorized engine, merged into one fleet report.
 * ``wide`` — a wide fleet: eight CHARM designs modelled as one board
   each (a single VCK5000 cannot host eight distinct configs — their
   AIE demand exceeds the 400-tile array), dispatched with the k-wide
-  vectorized engine versus the heap engine on the same trace.
+  vectorized engine versus the portable table engine on the same trace.
 
 The script also times the analytical-model prewarm cold (empty
 ``EvalCache``) versus warm (restored from an on-disk snapshot via
@@ -35,15 +34,12 @@ The script asserts the serving engine's contract on every run:
 * vectorized-mode throughput is at least ``VECTORIZED_FLOOR`` (3x)
   over fast mode on the full trace (reduced on ``--smoke``);
 * exact-mode dispatch decisions (accelerator, start, finish) are
-  **byte-identical** between the scan, table, heap, and vectorized
-  engines on a verification subset — fault-free and under a fault
-  schedule;
+  **byte-identical** between the scan, table, and vectorized engines
+  on a verification subset — fault-free and under a fault schedule;
 * on the eight-accelerator fleet the vectorized engine is byte-
-  identical to heap on a verification subset and, when the native
-  k-wide kernel compiled, at least ``WIDE_FLOOR`` (3x) faster than
-  heap on the full trace (reduced on ``--smoke``; the speedup gate
-  disarms on the NumPy fallback, where vectorized only ties heap at
-  this width — the identity checks never disarm);
+  identical to table on a verification subset and at least
+  ``WIDE_FLOOR`` (3x) faster than table on the full trace (reduced on
+  ``--smoke``);
 * SoA trace generation is bit-identical to the scalar generator;
 * every shard of a sharded serve is byte-identical to an unsharded
   in-process run over the same sub-trace (for shard counts 2, 4, 8),
@@ -231,12 +227,10 @@ def verify_contract(partition: AcceleratorPartition, num_requests: int) -> dict:
     )
     scan = simulator.run(scalar, dispatch="scan")
     table = simulator.run(soa, dispatch="table")
-    heap = simulator.run(soa, dispatch="heap")
     vectorized = simulator.run(soa, dispatch="vectorized")
     dispatch_identical = (
         _dispatch_bytes(scan)
         == _dispatch_bytes(table)
-        == _dispatch_bytes(heap)
         == _dispatch_bytes(vectorized)
     )
     exact_p50, exact_p99 = scan.latency_percentiles([50, 99])
@@ -259,8 +253,8 @@ def verify_contract(partition: AcceleratorPartition, num_requests: int) -> dict:
 def verify_fault_contract(partition: AcceleratorPartition, num_requests: int) -> dict:
     """Fault-run invariants: engine identity, determinism, accounting.
 
-    On the same seeded trace and fault schedule the scan, table, heap,
-    and vectorized engines must make byte-identical decisions
+    On the same seeded trace and fault schedule the scan, table, and
+    vectorized engines must make byte-identical decisions
     (including retries and shed lists), two identical runs must agree
     byte for byte, every request must be exactly one of completed/shed,
     and the streaming report's summary must match across engines.
@@ -293,7 +287,6 @@ def verify_fault_contract(partition: AcceleratorPartition, num_requests: int) ->
     for engine, trace in (
         ("scan", scalar),
         ("table", soa),
-        ("heap", soa),
         ("vectorized", soa),
     ):
         simulator = ServingSimulator(partition)
@@ -301,9 +294,7 @@ def verify_fault_contract(partition: AcceleratorPartition, num_requests: int) ->
             trace, dispatch=engine, faults=faults, fault_policy=policy
         )
     blobs = {engine: fault_bytes(report) for engine, report in reports.items()}
-    engines_identical = (
-        blobs["scan"] == blobs["table"] == blobs["heap"] == blobs["vectorized"]
-    )
+    engines_identical = blobs["scan"] == blobs["table"] == blobs["vectorized"]
 
     rerun = ServingSimulator(partition).run(
         soa, dispatch="table", faults=faults, fault_policy=policy
@@ -319,16 +310,11 @@ def verify_fault_contract(partition: AcceleratorPartition, num_requests: int) ->
     stream_table = ServingSimulator(partition).run(
         soa, dispatch="table", streaming=True, faults=faults, fault_policy=policy
     )
-    stream_heap = ServingSimulator(partition).run(
-        soa, dispatch="heap", streaming=True, faults=faults, fault_policy=policy
-    )
     stream_vec = ServingSimulator(partition).run(
         soa, dispatch="vectorized", streaming=True, faults=faults,
         fault_policy=policy,
     )
-    streaming_identical = (
-        stream_table.as_dict() == stream_heap.as_dict() == stream_vec.as_dict()
-    )
+    streaming_identical = stream_table.as_dict() == stream_vec.as_dict()
     streaming_consistent = (
         stream_table.count == len(base.completed)
         and stream_table.fault_summary() == base.fault_summary()
@@ -496,7 +482,7 @@ class FleetPartition:
 
 
 def run_wide_benchmark(num_requests: int, repeats: int = 2) -> dict:
-    """Vectorized vs heap on the eight-accelerator fleet.
+    """Vectorized vs table on the eight-accelerator fleet.
 
     Before timing, a verification subset is dispatched through both
     engines and compared byte for byte — the speedup claim is only
@@ -513,11 +499,11 @@ def run_wide_benchmark(num_requests: int, repeats: int = 2) -> dict:
     verify_n = min(num_requests, VERIFY_REQUESTS)
     subset = generate_trace_soa(SHAPES, verify_n, MEAN_INTERARRIVAL, seed=7)
     identical = _dispatch_bytes(
-        simulator.run(subset, dispatch="heap")
+        simulator.run(subset, dispatch="table")
     ) == _dispatch_bytes(simulator.run(subset, dispatch="vectorized"))
 
     timings = {}
-    for engine in ("heap", "vectorized"):
+    for engine in ("table", "vectorized"):
         best = math.inf
         for _ in range(repeats):
             started = time.perf_counter()
@@ -537,11 +523,11 @@ def run_wide_benchmark(num_requests: int, repeats: int = 2) -> dict:
         "requests": num_requests,
         "native": native_available(),
         "identical": identical,
-        "heap_seconds": timings["heap"],
-        "heap_requests_per_sec": num_requests / timings["heap"],
+        "table_seconds": timings["table"],
+        "table_requests_per_sec": num_requests / timings["table"],
         "vectorized_seconds": timings["vectorized"],
         "vectorized_requests_per_sec": num_requests / timings["vectorized"],
-        "speedup_vs_heap": timings["heap"] / timings["vectorized"],
+        "speedup_vs_table": timings["table"] / timings["vectorized"],
     }
 
 
@@ -723,11 +709,11 @@ def wide_gates(smoke: bool) -> list[Gate]:
     wide_floor = SMOKE_WIDE_FLOOR if smoke else WIDE_FLOOR
     return [
         Gate(metric="wide.identical", kind="flag",
-             label="vectorized and heap dispatch decisions differ on the "
+             label="vectorized and table dispatch decisions differ on the "
                    "wide fleet"),
-        Gate(metric="wide.speedup_vs_heap", kind="floor", value=wide_floor,
+        Gate(metric="wide.speedup_vs_table", kind="floor", value=wide_floor,
              when="wide.native",
-             label=f"wide-fleet vectorized speedup over heap is below the "
+             label=f"wide-fleet vectorized speedup over table is below the "
                    f"{wide_floor}x floor (native kernel)"),
     ]
 
@@ -741,20 +727,21 @@ def serving_gates(smoke: bool) -> list[Gate]:
         Gate(metric="trace_identical", kind="flag",
              label="SoA trace generation is not bit-identical to scalar"),
         Gate(metric="dispatch_identical", kind="flag",
-             label="scan, table, heap, and vectorized dispatch decisions "
-                   "differ"),
+             label="scan, table, and vectorized dispatch decisions differ"),
         Gate(metric="streaming_identical", kind="flag",
              label="streaming summaries differ between table and vectorized "
                    "engines"),
         Gate(metric="fault_engines_identical", kind="flag",
-             label="scan, table, and heap disagree under a fault schedule"),
+             label="scan, table, and vectorized disagree under a fault "
+                   "schedule"),
         Gate(metric="fault_deterministic", kind="flag",
              label="fault runs are not deterministic"),
         Gate(metric="fault_accounting_exact", kind="flag",
              label="fault accounting does not balance "
                    "(completed + shed != offered)"),
         Gate(metric="fault_streaming_identical", kind="flag",
-             label="streaming fault summaries differ between table and heap"),
+             label="streaming fault summaries differ between table and "
+                   "vectorized"),
         Gate(metric="fault_streaming_consistent", kind="flag",
              label="streaming fault report disagrees with the exact report"),
         Gate(metric="p50_relative_error", kind="ceiling", value=bound,
@@ -891,11 +878,10 @@ def main(argv: list[str] | None = None) -> int:
     print(f"vectorized speedup:   {entry['vectorized_speedup']:.2f}x over fast")
     _print_sharded(entry)
     wide = entry["wide"]
-    kernel = "native" if wide["native"] else "numpy fallback"
     print(f"{'wide':>10}: {wide['vectorized_seconds']:8.3f} s  "
           f"{wide['vectorized_requests_per_sec']:12.1f} req/s  "
-          f"({wide['accelerators']} accelerators via {kernel})")
-    print(f"wide speedup:         {wide['speedup_vs_heap']:.2f}x over heap  "
+          f"({wide['accelerators']} accelerators via the native kernel)")
+    print(f"wide speedup:         {wide['speedup_vs_table']:.2f}x over table  "
           f"identical: {wide['identical']}")
     cache = entry["cache"]
     print(f"prewarm cache:        cold {cache['cold_prewarm_seconds'] * 1e3:.2f} ms"

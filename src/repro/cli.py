@@ -266,12 +266,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     configs = [config_by_name(name) for name in args.configs.split(",") if name]
     partition = AcceleratorPartition(configs)
     simulator = ServingSimulator(partition)
-    from repro.sim.dispatch_batch import native_available
+    from repro.sim.dispatch_batch import native_available, require_native
 
     native = native_available()
     GLOBAL_METRICS.gauge(
         "repro_native_available",
-        "Compiled k-wide dispatch kernel in use (1) or NumPy fallback (0)",
+        "Compiled k-wide dispatch kernel in use (1) or table engine (0)",
     ).set(1.0 if native else 0.0)
     if args.stats:
         print(
@@ -279,6 +279,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "(k-wide C dispatch kernel)",
             file=sys.stderr,
         )
+    if args.dispatch == "vectorized":
+        try:
+            require_native(args.dispatch)
+        except ValueError as error:
+            print(f"serve: {error}", file=sys.stderr)
+            return 2
     simulator.prewarm(shapes, jobs=args.jobs, vectorize=args.vectorize)
 
     faults = None
@@ -904,11 +910,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="relative error bound for streaming percentiles")
     serve.add_argument(
         "--dispatch",
-        choices=["auto", "vectorized", "heap", "table", "scan"],
+        choices=["auto", "vectorized", "table", "scan"],
         default="auto",
-        help="dispatch engine (all byte-identical; vectorized is legal at "
-             "any partition width — native k-wide C kernel when a compiler "
-             "is present, NumPy speculate-and-verify otherwise)")
+        help="dispatch engine (all byte-identical): vectorized is the "
+             "native k-wide C kernel, table the portable pure-Python "
+             "engine, scan the reference loop; auto picks vectorized when "
+             "the kernel compiled and table otherwise")
     serve.add_argument("--shards", type=int, default=1, metavar="N",
                        help="partition the trace across N process-parallel "
                             "shard replicas and merge one fleet report")
@@ -992,8 +999,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--mean-interarrival", type=float, default=None,
                        help="mean seconds between arrivals (default 0.5e-3)")
     bench.add_argument("--dispatch",
-                       choices=["auto", "vectorized", "heap", "table", "scan"],
-                       default="auto", help="serving dispatch engine")
+                       choices=["auto", "vectorized", "table", "scan"],
+                       default="auto",
+                       help="serving dispatch engine (see serve --dispatch)")
     bench.add_argument("--streaming", action=argparse.BooleanOptionalAction,
                        default=True,
                        help="streaming serving report (sketched percentiles)")

@@ -1,36 +1,33 @@
-"""Optional C acceleration for the vectorized dispatch engine.
+"""Optional C kernel for the vectorized dispatch engine.
 
-Two pieces of the fault-free fast path are irreducibly sequential —
-per-element decision chains NumPy cannot express — and in CPython they
-cost two orders of magnitude more than the arithmetic they perform:
+The exact earliest-finish recurrence is irreducibly sequential — each
+admission updates the free time the next admission reads — and in
+CPython it costs two orders of magnitude more than the arithmetic it
+performs.  This module compiles it as a few dozen lines of C once per
+process (system ``cc``, a temp directory, no build system) and exposes
+it through :data:`dispatch_exact`.
 
-* the θ-walk guesser in :mod:`repro.sim.dispatch_batch`, and
-* the exact earliest-finish recurrence itself (each admission updates
-  the free time the next admission reads).
+The kernel mirrors the scan loop bit for bit at any partition width —
+same ``arrival if arrival > free else free`` start rule, same strict
+first-minimum winner over the ``(width, classes)`` service matrix, same
+fault-segment ``limit`` / per-accelerator next-down cut conditions as
+:func:`_reference_dispatch`.  The clocks are copied into a local array
+and every pointer is ``restrict``, so the output stores cannot alias
+them and the compiler need not reload them after each store — which is
+what lets one kernel serve narrow partitions (the paper's C5+C3) as
+well as wide ones.
+``inf`` service entries (infeasible accelerator/class pairs) are safe:
+an infinite candidate finish can never win a strict-less comparison,
+and the next-down check only ever tests the winner.  Plain ``-O2``
+keeps IEEE semantics (no ``-ffast-math``, no FMA contraction
+opportunities in pure add/compare code), and a self-check against the
+Python reference guards the build before it is trusted.
 
-This module compiles both as a few dozen lines of C once per process
-(system ``cc``, a temp directory, no build system) and exposes them
-through :data:`theta_walk` and :data:`dispatch_exact`.
-
-``dispatch_exact`` mirrors the scan loop bit for bit — same
-``arrival if arrival > free else free`` start rule, same strict
-first-minimum winner over the ``(width, classes)`` service matrix,
-same fault-segment ``limit`` / per-accelerator next-down cut
-conditions as ``_corrected_step_k`` — so the NumPy speculate-and-verify
-engine becomes the fallback rather than the hot path when a compiler
-is present.  Width 1 and 2 keep fully unrolled kernels (the paper's
-C5+C3-style partitions); every wider fleet goes through the k-wide
-kernel, which scans the lanes with the same strict-less winner rule at
-any width.  ``inf`` service entries (infeasible accelerator/class
-pairs) are safe in all three kernels: an infinite candidate finish can
-never win a strict-less comparison, and the next-down check only ever
-tests the winner.  Plain ``-O2`` keeps IEEE semantics (no
-``-ffast-math``, no FMA contraction opportunities in pure add/compare
-code), and a self-check against a Python reference guards the build
-before it is trusted.  Any failure (no ``cc``, sandboxed filesystem,
-self-check mismatch) leaves both exports ``None`` and the pure-Python
-paths take over.  Set ``REPRO_NO_NATIVE=1`` to force that fallback
-explicitly (CI exercises it so the Python paths stay covered).
+Any failure — no compiler, a compile error, a self-check mismatch —
+leaves :data:`dispatch_exact` ``None``, logs the reason (also kept in
+:data:`UNAVAILABLE_REASON`), and ``dispatch="auto"`` uses the portable
+``table`` engine instead.  Set ``REPRO_NO_NATIVE=1`` to disable the
+build explicitly (CI exercises it so the table path stays covered).
 """
 
 from __future__ import annotations
@@ -50,96 +47,21 @@ _LOG = logging.getLogger("repro.sim.native")
 _SOURCE = r"""
 #include <stdint.h>
 
-int64_t repro_theta_walk(const double *u, const double *v, int64_t n,
-                         double theta, uint8_t *out)
+/* The exact earliest-finish loop: svc is the row-major (k, classes)
+ * service matrix, nd the per-accelerator next-down array.  Winner =
+ * first strict minimum finish in lane order (np.argmin semantics); any
+ * lane whose start reaches `limit` cuts the segment before a commit. */
+int64_t repro_dispatch_k(const double *restrict arrivals,
+                         const int64_t *restrict cids,
+                         const double *restrict svc, int64_t k,
+                         int64_t classes, int64_t n, double limit,
+                         const double *restrict nd, double *restrict state,
+                         int64_t *restrict acc, double *restrict start,
+                         double *restrict fin)
 {
-    int64_t picks = 0;
-    for (int64_t j = 0; j < n; ++j) {
-        if (u[j] > theta) {
-            out[j] = 1;
-            theta += v[j];
-            ++picks;
-        } else {
-            out[j] = 0;
-        }
-    }
-    return picks;
-}
-
-int64_t repro_dispatch_pair(const double *arrivals, const int64_t *cids,
-                            const double *svc0, const double *svc1,
-                            int64_t n, double limit, double nd0, double nd1,
-                            double *state, uint8_t *acc,
-                            double *start, double *fin)
-{
-    double f0 = state[0];
-    double f1 = state[1];
-    int64_t j = 0;
-    for (; j < n; ++j) {
-        double a = arrivals[j];
-        int64_t c = cids[j];
-        double st0 = a > f0 ? a : f0;
-        double st1 = a > f1 ? a : f1;
-        if (st0 >= limit || st1 >= limit)
-            break;
-        double e0 = st0 + svc0[c];
-        double e1 = st1 + svc1[c];
-        if (e1 < e0) {
-            if (e1 > nd1)
-                break;
-            f1 = e1;
-            acc[j] = 1;
-            start[j] = st1;
-            fin[j] = e1;
-        } else {
-            if (e0 > nd0)
-                break;
-            f0 = e0;
-            acc[j] = 0;
-            start[j] = st0;
-            fin[j] = e0;
-        }
-    }
-    state[0] = f0;
-    state[1] = f1;
-    return j;
-}
-
-int64_t repro_dispatch_single(const double *arrivals, const int64_t *cids,
-                              const double *svc0,
-                              int64_t n, double limit, double nd0,
-                              double *state, uint8_t *acc,
-                              double *start, double *fin)
-{
-    double f0 = state[0];
-    int64_t j = 0;
-    for (; j < n; ++j) {
-        double a = arrivals[j];
-        double st0 = a > f0 ? a : f0;
-        if (st0 >= limit)
-            break;
-        double e0 = st0 + svc0[cids[j]];
-        if (e0 > nd0)
-            break;
-        f0 = e0;
-        acc[j] = 0;
-        start[j] = st0;
-        fin[j] = e0;
-    }
-    state[0] = f0;
-    return j;
-}
-
-/* The k-wide exact loop: svc is the row-major (k, classes) service
- * matrix, nd the per-accelerator next-down array.  Winner = first
- * strict minimum finish in lane order (np.argmin semantics); any lane
- * whose start reaches `limit` cuts the segment before a commit. */
-int64_t repro_dispatch_k(const double *arrivals, const int64_t *cids,
-                         const double *svc, int64_t k, int64_t classes,
-                         int64_t n, double limit, const double *nd,
-                         double *state, int64_t *acc,
-                         double *start, double *fin)
-{
+    double clock[k];
+    for (int64_t i = 0; i < k; ++i)
+        clock[i] = state[i];
     int64_t j = 0;
     for (; j < n; ++j) {
         double a = arrivals[j];
@@ -149,7 +71,7 @@ int64_t repro_dispatch_k(const double *arrivals, const int64_t *cids,
         double best_e = 0.0;
         int cut = 0;
         for (int64_t i = 0; i < k; ++i) {
-            double f = state[i];
+            double f = clock[i];
             double st = a > f ? a : f;
             if (st >= limit) {
                 cut = 1;
@@ -164,33 +86,41 @@ int64_t repro_dispatch_k(const double *arrivals, const int64_t *cids,
         }
         if (cut || best_e > nd[best])
             break;
-        state[best] = best_e;
+        clock[best] = best_e;
         acc[j] = best;
         start[j] = best_st;
         fin[j] = best_e;
     }
+    for (int64_t i = 0; i < k; ++i)
+        state[i] = clock[i];
     return j;
 }
 """
 
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 _INT64_P = ctypes.POINTER(ctypes.c_int64)
-_UINT8_P = ctypes.POINTER(ctypes.c_uint8)
 
+_ARGTYPES = [
+    _DOUBLE_P,  # arrivals
+    _INT64_P,  # class ids
+    _DOUBLE_P,  # (k, classes) service matrix
+    ctypes.c_int64,  # k
+    ctypes.c_int64,  # classes
+    ctypes.c_int64,  # n
+    ctypes.c_double,  # limit
+    _DOUBLE_P,  # next-down per accelerator
+    _DOUBLE_P,  # free clocks (in/out)
+    _INT64_P,  # accelerator per request (out)
+    _DOUBLE_P,  # start per request (out)
+    _DOUBLE_P,  # finish per request (out)
+]
 
-def _reference_walk(u, v, theta):
-    out = []
-    for j, value in enumerate(u):
-        if value > theta:
-            out.append(1)
-            theta += v[j]
-        else:
-            out.append(0)
-    return out
+#: how much of a failing compiler's stderr the unavailability reason keeps
+_STDERR_TAIL = 400
 
 
 def _reference_dispatch(arrivals, cids, rows, state, limit, nds):
-    """Pure-Python mirror of the scan/``_corrected_step_k`` loop."""
+    """Pure-Python mirror of the scan loop with the kernel's cut rules."""
     out = []
     for a, c in zip(arrivals, cids):
         starts = [a if a > f else f for f in state]
@@ -208,20 +138,44 @@ def _reference_dispatch(arrivals, cids, rows, state, limit, nds):
     return out
 
 
-def _check_dispatch(pair, single, kwide):
-    inf = float("inf")
+def _call(kernel, arrivals, class_ids, services, state, limit, nds):
+    """Run ``kernel`` over contiguous inputs; ``(accepted, acc, start, fin)``."""
+    n = arrivals.size
+    acc = np.empty(n, dtype=np.int64)
+    starts = np.empty(n, dtype=np.float64)
+    fins = np.empty(n, dtype=np.float64)
+    q = kernel(
+        arrivals.ctypes.data_as(_DOUBLE_P),
+        class_ids.ctypes.data_as(_INT64_P),
+        services.ctypes.data_as(_DOUBLE_P),
+        services.shape[0],
+        services.shape[1],
+        n,
+        limit,
+        nds.ctypes.data_as(_DOUBLE_P),
+        state.ctypes.data_as(_DOUBLE_P),
+        acc.ctypes.data_as(_INT64_P),
+        starts.ctypes.data_as(_DOUBLE_P),
+        fins.ctypes.data_as(_DOUBLE_P),
+    )
+    return q, acc[:q], starts[:q], fins[:q]
+
+
+def _self_check(kernel) -> str | None:
+    """The first case where ``kernel`` disagrees with the reference, or None."""
+    inf = math.inf
     arrivals = [0.0, 0.1, 0.15, 0.2, 1.0, 1.05, 1.5, 2.0]
     cids = [0, 1, 0, 1, 0, 0, 1, 1]
-    # four lanes, one infeasible (inf) entry: the k-wide kernel must
-    # never let an infinite candidate win a strict-less comparison
+    # four lanes, one infeasible (inf) entry: an infinite candidate
+    # must never win a strict-less comparison
     rows = [[0.3, 0.5], [0.4, 0.5], [0.35, inf], [0.25, 0.45]]
     cases = [
+        (1, inf, (inf,)),
+        (1, 0.9, (0.7,)),
         (2, inf, (inf, inf)),
         (2, 1.2, (inf, inf)),
         (2, inf, (1.4, inf)),
         (2, inf, (inf, 0.6)),
-        (1, inf, (inf,)),
-        (1, 0.9, (0.7,)),
         (3, inf, (inf, inf, inf)),
         (3, 1.3, (inf, inf, inf)),
         (3, inf, (inf, 0.8, inf)),
@@ -235,216 +189,93 @@ def _check_dispatch(pair, single, kwide):
         expect = _reference_dispatch(
             arrivals, cids, rows[:width], ref_state, limit, nds
         )
-        arr = np.asarray(arrivals)
-        cid = np.asarray(cids, dtype=np.int64)
-        st = np.asarray(state)
-        acc8 = np.empty(arr.size, dtype=np.uint8)
-        acc64 = np.empty(arr.size, dtype=np.int64)
-        starts = np.empty(arr.size)
-        fins = np.empty(arr.size)
-        if width == 2:
-            svc = [np.asarray(row) for row in rows]
-            q = pair(
-                arr.ctypes.data_as(_DOUBLE_P),
-                cid.ctypes.data_as(_INT64_P),
-                svc[0].ctypes.data_as(_DOUBLE_P),
-                svc[1].ctypes.data_as(_DOUBLE_P),
-                arr.size,
-                limit,
-                nds[0],
-                nds[1],
-                st.ctypes.data_as(_DOUBLE_P),
-                acc8.ctypes.data_as(_UINT8_P),
-                starts.ctypes.data_as(_DOUBLE_P),
-                fins.ctypes.data_as(_DOUBLE_P),
-            )
-            got_acc = acc8
-        elif width == 1:
-            svc = [np.asarray(row) for row in rows]
-            q = single(
-                arr.ctypes.data_as(_DOUBLE_P),
-                cid.ctypes.data_as(_INT64_P),
-                svc[0].ctypes.data_as(_DOUBLE_P),
-                arr.size,
-                limit,
-                nds[0],
-                st.ctypes.data_as(_DOUBLE_P),
-                acc8.ctypes.data_as(_UINT8_P),
-                starts.ctypes.data_as(_DOUBLE_P),
-                fins.ctypes.data_as(_DOUBLE_P),
-            )
-            got_acc = acc8
-        else:
-            matrix = np.ascontiguousarray(rows[:width], dtype=np.float64)
-            nd_arr = np.asarray(nds, dtype=np.float64)
-            q = kwide(
-                arr.ctypes.data_as(_DOUBLE_P),
-                cid.ctypes.data_as(_INT64_P),
-                matrix.ctypes.data_as(_DOUBLE_P),
-                width,
-                matrix.shape[1],
-                arr.size,
-                limit,
-                nd_arr.ctypes.data_as(_DOUBLE_P),
-                st.ctypes.data_as(_DOUBLE_P),
-                acc64.ctypes.data_as(_INT64_P),
-                starts.ctypes.data_as(_DOUBLE_P),
-                fins.ctypes.data_as(_DOUBLE_P),
-            )
-            got_acc = acc64
-        got = list(
-            zip(got_acc[:q].tolist(), starts[:q].tolist(), fins[:q].tolist())
+        clocks = np.asarray(state)
+        _, acc, starts, fins = _call(
+            kernel,
+            np.asarray(arrivals),
+            np.asarray(cids, dtype=np.int64),
+            np.asarray(rows[:width]),
+            clocks,
+            limit,
+            np.asarray(nds),
         )
-        if q != len(expect) or got != expect:
-            return False
-        # the committed prefix must leave the same free clocks the
-        # reference loop left
-        if st.tolist() != ref_state:
-            return False
-    return True
+        got = list(zip(acc.tolist(), starts.tolist(), fins.tolist()))
+        # the committed prefix must also leave the reference's clocks
+        if got != expect or clocks.tolist() != ref_state:
+            return f"width {width}, limit {limit}, next-downs {nds}"
+    return None
+
+
+def _compile(source: str, lib_path: str) -> str | None:
+    """Build ``source`` into ``lib_path``; None on success, else the reason."""
+    compilers = [name for name in ("cc", "gcc", "clang") if shutil.which(name)]
+    if not compilers:
+        return "no C compiler found (tried cc, gcc, clang)"
+    failures = []
+    for compiler in compilers:
+        try:
+            subprocess.run(
+                [compiler, "-O2", "-fPIC", "-shared", "-o", lib_path, source],
+                check=True,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            return None
+        except subprocess.CalledProcessError as exc:
+            tail = (exc.stderr or "").strip()[-_STDERR_TAIL:]
+            failures.append(f"{compiler} exited {exc.returncode}: {tail}")
+        except (subprocess.SubprocessError, OSError) as exc:
+            failures.append(f"{compiler}: {exc}")
+    return "compile failed: " + "; ".join(failures)
 
 
 def _build():
+    """Compile and self-check the kernel: ``(kernel, None)`` or ``(None, reason)``.
+
+    Failures are logged — a warning, except for an explicit
+    ``REPRO_NO_NATIVE`` — so a host silently losing the fast path shows
+    up in its logs with the cause.
+    """
     if os.environ.get("REPRO_NO_NATIVE"):
-        return None
+        reason = "REPRO_NO_NATIVE is set"
+        _LOG.info("%s: dispatch='auto' uses the table engine", reason)
+        return None, reason
     tmp = None
     try:
         tmp = tempfile.mkdtemp(prefix="repro-native-")
-        source = os.path.join(tmp, "walk.c")
-        lib_path = os.path.join(tmp, "libreprowalk.so")
+        source = os.path.join(tmp, "dispatch.c")
+        lib_path = os.path.join(tmp, "libreprodispatch.so")
         with open(source, "w", encoding="utf-8") as handle:
             handle.write(_SOURCE)
-        for compiler in ("cc", "gcc", "clang"):
-            if shutil.which(compiler) is None:
-                continue
-            try:
-                subprocess.run(
-                    [compiler, "-O2", "-fPIC", "-shared", "-o", lib_path, source],
-                    check=True,
-                    capture_output=True,
-                    timeout=120,
-                )
-                break
-            except (subprocess.SubprocessError, OSError):
-                continue
-        else:
-            return None
-        library = ctypes.CDLL(lib_path)
-        walk = library.repro_theta_walk
-        walk.restype = ctypes.c_int64
-        walk.argtypes = [_DOUBLE_P, _DOUBLE_P, ctypes.c_int64, ctypes.c_double, _UINT8_P]
-        pair = library.repro_dispatch_pair
-        pair.restype = ctypes.c_int64
-        pair.argtypes = [
-            _DOUBLE_P,
-            _INT64_P,
-            _DOUBLE_P,
-            _DOUBLE_P,
-            ctypes.c_int64,
-            ctypes.c_double,
-            ctypes.c_double,
-            ctypes.c_double,
-            _DOUBLE_P,
-            _UINT8_P,
-            _DOUBLE_P,
-            _DOUBLE_P,
-        ]
-        single = library.repro_dispatch_single
-        single.restype = ctypes.c_int64
-        single.argtypes = [
-            _DOUBLE_P,
-            _INT64_P,
-            _DOUBLE_P,
-            ctypes.c_int64,
-            ctypes.c_double,
-            ctypes.c_double,
-            _DOUBLE_P,
-            _UINT8_P,
-            _DOUBLE_P,
-            _DOUBLE_P,
-        ]
-        kwide = library.repro_dispatch_k
-        kwide.restype = ctypes.c_int64
-        kwide.argtypes = [
-            _DOUBLE_P,
-            _INT64_P,
-            _DOUBLE_P,
-            ctypes.c_int64,
-            ctypes.c_int64,
-            ctypes.c_int64,
-            ctypes.c_double,
-            _DOUBLE_P,
-            _DOUBLE_P,
-            _INT64_P,
-            _DOUBLE_P,
-            _DOUBLE_P,
-        ]
-
-        # self-check against the reference implementations before
-        # trusting the build
-        check_u = [0.5, -1.0, 2.0, 0.25, 3.0, 3.0, 0.0]
-        check_v = [1.0, 1.0, 0.5, 2.0, 0.5, 0.5, 1.0]
-        for theta in (-1.0, 0.0, 0.4, 10.0):
-            cu = np.asarray(check_u)
-            cv = np.asarray(check_v)
-            got = np.empty(cu.size, dtype=np.uint8)
-            walk(
-                cu.ctypes.data_as(_DOUBLE_P),
-                cv.ctypes.data_as(_DOUBLE_P),
-                cu.size,
-                theta,
-                got.ctypes.data_as(_UINT8_P),
-            )
-            if got.tolist() != _reference_walk(check_u, check_v, theta):
-                return None
-        if not _check_dispatch(pair, single, kwide):
-            return None
-        return walk, pair, single, kwide
-    except Exception:
-        return None
+        reason = _compile(source, lib_path)
+        if reason is None:
+            kernel = ctypes.CDLL(lib_path).repro_dispatch_k
+            kernel.restype = ctypes.c_int64
+            kernel.argtypes = _ARGTYPES
+            mismatch = _self_check(kernel)
+            if mismatch is None:
+                _LOG.info("native k-wide dispatch kernel compiled")
+                return kernel, None
+            reason = f"self-check mismatch against the Python reference ({mismatch})"
+    except Exception as exc:  # sandboxed filesystem, unloadable library, ...
+        reason = f"build error: {exc!r}"
     finally:
         # the loaded .so stays mapped; the directory entry can go
         if tmp is not None:
             shutil.rmtree(tmp, ignore_errors=True)
-
-
-_BUILT = _build()
-_WALK, _PAIR, _SINGLE, _KWIDE = (
-    _BUILT if _BUILT is not None else (None, None, None, None)
-)
-
-#: whether the compiled kernels passed the self-check and are in use
-NATIVE_AVAILABLE = _BUILT is not None
-
-if NATIVE_AVAILABLE:
-    _LOG.info(
-        "native dispatch kernels compiled (k-wide exact earliest-finish loop)"
-    )
-elif os.environ.get("REPRO_NO_NATIVE"):
-    _LOG.info(
-        "REPRO_NO_NATIVE set: vectorized dispatch uses the NumPy "
-        "speculate-and-verify fallback"
-    )
-else:
     _LOG.warning(
-        "no working C compiler: vectorized dispatch falls back to the "
-        "NumPy speculate-and-verify engine (slower, same results)"
+        "native dispatch kernel unavailable (%s): dispatch='auto' uses the "
+        "table engine (slower, same results)",
+        reason,
     )
+    return None, reason
 
 
-def _theta_walk_native(u: np.ndarray, v: np.ndarray, theta: float) -> np.ndarray:
-    """Boolean pick array for the k=2 busy-regime θ-walk, at C speed."""
-    u = np.ascontiguousarray(u, dtype=np.float64)
-    v = np.ascontiguousarray(v, dtype=np.float64)
-    out = np.empty(u.size, dtype=np.uint8)
-    _WALK(
-        u.ctypes.data_as(_DOUBLE_P),
-        v.ctypes.data_as(_DOUBLE_P),
-        u.size,
-        theta,
-        out.ctypes.data_as(_UINT8_P),
-    )
-    return out.view(np.bool_)
+_KERNEL, UNAVAILABLE_REASON = _build()
+
+#: whether the compiled kernel passed the self-check and is in use
+NATIVE_AVAILABLE = _KERNEL is not None
 
 
 def _dispatch_exact_native(arrivals, class_ids, services, free, limit, nds=None):
@@ -458,72 +289,20 @@ def _dispatch_exact_native(arrivals, class_ids, services, free, limit, nds=None)
     satisfying the ``limit`` / next-down constraints, with per-request
     results bit-identical to the scan loop.
     """
-    arrivals = np.ascontiguousarray(arrivals, dtype=np.float64)
-    class_ids = np.ascontiguousarray(class_ids, dtype=np.int64)
-    n = arrivals.size
     width = services.shape[0]
-    starts = np.empty(n, dtype=np.float64)
-    fins = np.empty(n, dtype=np.float64)
     state = np.asarray(free, dtype=np.float64)
-    if nds is None:
-        nds = (math.inf,) * width
-    if width == 2:
-        acc = np.empty(n, dtype=np.uint8)
-        svc0 = np.ascontiguousarray(services[0])
-        svc1 = np.ascontiguousarray(services[1])
-        q = _PAIR(
-            arrivals.ctypes.data_as(_DOUBLE_P),
-            class_ids.ctypes.data_as(_INT64_P),
-            svc0.ctypes.data_as(_DOUBLE_P),
-            svc1.ctypes.data_as(_DOUBLE_P),
-            n,
-            limit,
-            nds[0],
-            nds[1],
-            state.ctypes.data_as(_DOUBLE_P),
-            acc.ctypes.data_as(_UINT8_P),
-            starts.ctypes.data_as(_DOUBLE_P),
-            fins.ctypes.data_as(_DOUBLE_P),
-        )
-    elif width == 1:
-        acc = np.empty(n, dtype=np.uint8)
-        svc0 = np.ascontiguousarray(services[0])
-        q = _SINGLE(
-            arrivals.ctypes.data_as(_DOUBLE_P),
-            class_ids.ctypes.data_as(_INT64_P),
-            svc0.ctypes.data_as(_DOUBLE_P),
-            n,
-            limit,
-            nds[0],
-            state.ctypes.data_as(_DOUBLE_P),
-            acc.ctypes.data_as(_UINT8_P),
-            starts.ctypes.data_as(_DOUBLE_P),
-            fins.ctypes.data_as(_DOUBLE_P),
-        )
-    else:
-        acc = np.empty(n, dtype=np.int64)
-        matrix = np.ascontiguousarray(services, dtype=np.float64)
-        nd_arr = np.ascontiguousarray(nds, dtype=np.float64)
-        q = _KWIDE(
-            arrivals.ctypes.data_as(_DOUBLE_P),
-            class_ids.ctypes.data_as(_INT64_P),
-            matrix.ctypes.data_as(_DOUBLE_P),
-            width,
-            matrix.shape[1],
-            n,
-            limit,
-            nd_arr.ctypes.data_as(_DOUBLE_P),
-            state.ctypes.data_as(_DOUBLE_P),
-            acc.ctypes.data_as(_INT64_P),
-            starts.ctypes.data_as(_DOUBLE_P),
-            fins.ctypes.data_as(_DOUBLE_P),
-        )
-    for order in range(width):
-        free[order] = float(state[order])
-    return q, acc[:q], starts[:q], fins[:q]
+    result = _call(
+        _KERNEL,
+        np.ascontiguousarray(arrivals, dtype=np.float64),
+        np.ascontiguousarray(class_ids, dtype=np.int64),
+        np.ascontiguousarray(services, dtype=np.float64),
+        state,
+        limit,
+        np.asarray((math.inf,) * width if nds is None else nds, dtype=np.float64),
+    )
+    free[:] = state.tolist()
+    return result
 
 
-#: the accelerated kernels, or ``None`` when no compiler is available —
-#: callers must keep a pure-Python path behind these checks
-theta_walk = _theta_walk_native if _WALK is not None else None
-dispatch_exact = _dispatch_exact_native if _PAIR is not None else None
+#: the compiled kernel's entry point, or ``None`` when it is unavailable
+dispatch_exact = _dispatch_exact_native if NATIVE_AVAILABLE else None

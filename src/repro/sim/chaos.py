@@ -33,7 +33,7 @@ The pieces:
 
 Determinism guarantee: a schedule is plain data; given the same trace,
 schedule, policy, and dispatch engine the fault run is bit-reproducible
-(and identical across the scan/table/heap engines — enforced by
+(and identical across the scan/table/vectorized engines — enforced by
 ``tests/conformance``).  :func:`chaos_schedule` draws from the same
 splitmix hash as trace generation, so ``--fault-seed`` reproduces the
 schedule exactly.

@@ -1,77 +1,32 @@
-"""Speculative NumPy batch engine for earliest-finish dispatch.
+"""Batch earliest-finish dispatch through the native k-wide kernel.
 
 The scalar engines in :mod:`repro.sim.serving` retire one request per
 loop iteration; at a million requests the interpreter overhead dwarfs
-the arithmetic.  This module dispatches the same trace in vectorized
-*speculate-and-verify* rounds while staying **byte-identical** to the
-seed scan:
+the arithmetic.  This module hands whole stretches of the SoA trace to
+the compiled exact loop in :mod:`repro.sim._native`, which makes the
+scan's decisions bit for bit at any partition width:
 
-1. **Guess** the per-request accelerator assignment with cheap
-   approximate math — a θ-walk over cumulative service sums when a
-   two-wide partition is saturated, a blockwise frontier argmin on
-   wider fleets, or an elementwise ``arrival + service`` argmin when
-   the partition is idle.
-2. **Reconstruct** the per-accelerator finish trajectories the guess
-   implies, exactly: each accelerator's busy chain is a sequential
-   ``np.cumsum`` (NumPy's ``add.accumulate`` adds left to right, the
-   same float64 additions the scalar loop performs one at a time).
-3. **Verify** every decision against the true earliest-finish rule on
-   the reconstructed state: candidate finishes are
-   ``max(arrival, free) + service`` — the scan's exact expression —
-   and a position is valid only when the guessed winner matches and the
-   winner's start semantics (busy vs idle) match the reconstruction.
-4. **Accept** the longest valid prefix.  By induction the scheduler
-   state at the first mismatch is exact, so one scalar *corrected step*
-   is computed from the already-verified candidates and the round
-   always makes progress.
+* :func:`dispatch_vectorized` — a fault-free trace, flushed in exact
+  ``chunk_size`` blocks, the same boundaries the scalar engines flush
+  at, so streaming summaries stay bit-identical;
+* :func:`dispatch_segment` — one clean fault segment, cut where the
+  scalar fault loop must take over.
 
-Why byte-identity holds: the scan computes ``start = max(arrival,
-free)`` (a comparison, no rounding) and ``finish = start + service``
-(one float64 add).  Every accepted value here is produced by that same
-single add — either inside a sequential cumsum over the accelerator's
-busy chain or as ``arrival + service`` for an idle admission — on
-bit-equal operands.  The guessers' rearranged arithmetic is only ever
-a *guess*; nothing they compute reaches the output.
-
-The rounds are width-generic: one busy and one idle formulation cover
-every partition width ``k >= 1``, with the winner chosen by
-``np.argmin`` over a ``(k, batch)`` finish matrix (first strict
-minimum — the scan's lane-order tie-break) and per-lane ``next_down``
-cut conditions for fault segments.  ``inf`` service entries
-(infeasible pairs) never win a strict-less comparison, so they flow
-through the verification untouched.  The entry points report how far
-they got so callers can fall back mid-trace: persistent low acceptance
-(an adversarial arrival pattern) bails out rather than degrading
-quadratically.
+Both need the kernel.  Without it (:func:`native_available` is False)
+``dispatch="auto"`` runs the portable ``table`` engine and an explicit
+``dispatch="vectorized"`` fails through :func:`require_native` — never
+a silent fallback.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
+from repro.sim import _native
 
+# the pure-Python mirror the kernel is checked against
+from repro.sim._native import _reference_dispatch  # noqa: F401
 from repro.sim._native import dispatch_exact as _native_dispatch
-from repro.sim._native import theta_walk as _native_walk
-
-#: speculation window right after a cut (kept small: a failed round's
-#: cost is proportional to the window it speculated over)
-MIN_WINDOW = 512
-
-#: a round accepting fewer than this many requests counts as stalled
-STALL_ACCEPT = 256
-
-#: consecutive stalled rounds before handing a burst to the scalar
-#: fallback — regime-transition churn (idle<->busy warmup) is skipped
-#: at scalar speed instead of being speculated over and over
-MAX_STALLS = 2
-
-#: first scalar-fallback burst length; doubles while stalls persist, so
-#: adversarial traces degrade to scalar throughput plus a vanishing
-#: fraction of failed speculation rounds
-MIN_BURST = 256
-
-_INF = math.inf
 
 
 def native_available() -> bool:
@@ -80,314 +35,33 @@ def native_available() -> bool:
     return _native_dispatch is not None
 
 
-def _finite_or(values: np.ndarray, fill: float) -> np.ndarray:
-    if np.isfinite(values).all():
-        return values
-    return np.where(np.isfinite(values), values, fill)
-
-
-def _theta_walk(u_list, v_list, theta: float) -> list:
-    """Indices the θ-walk guesses for accelerator 1 (k=2 busy regime).
-
-    Position ``j`` is an acc-1 pick iff ``U[j] > θ``, where θ starts at
-    ``free1 - free0`` folded into the cumulative-sum frame and grows by
-    ``V[j]`` at each pick.  Pure guess — accuracy only affects speed.
-
-    This is the pure-Python fallback; when a C compiler is available the
-    walk runs natively (:mod:`repro.sim._native`) — same decision chain,
-    two orders of magnitude cheaper per element.
-    """
-    enders = []
-    append = enders.append
-    for j, u in enumerate(u_list):
-        if u > theta:
-            append(j)
-            theta += v_list[j]
-    return enders
-
-
-def _walk_picks(u: np.ndarray, v: np.ndarray, theta: float) -> np.ndarray:
-    """Boolean θ-walk pick array, native when possible."""
-    if _native_walk is not None:
-        return _native_walk(u, v, theta)
-    d = np.zeros(u.size, dtype=bool)
-    enders = _theta_walk(u.tolist(), v.tolist(), theta)
-    if enders:
-        d[enders] = True
-    return d
-
-
-_ARANGE = np.empty(0, dtype=np.int64)
-
-
-def _arange(n: int) -> np.ndarray:
-    """A cached ``0..n-1`` view (the busy round needs it every call)."""
-    global _ARANGE
-    if _ARANGE.size < n:
-        _ARANGE = np.arange(max(n, 2 * _ARANGE.size), dtype=np.int64)
-    return _ARANGE[:n]
-
-
-def _guess_busy(svc: np.ndarray, free) -> np.ndarray:
-    """Guessed lane assignment for a saturated batch; ``(batch,)`` int64.
-
-    Pure speculation — a wrong guess costs a shorter accepted prefix,
-    never a wrong result.  Three regimes:
-
-    * ``k == 1`` — there is nothing to guess;
-    * ``k == 2`` — the θ-walk over cumulative service sums (the exact
-      busy-handoff recurrence rewritten as a threshold walk);
-    * ``k > 2`` — a blockwise frontier argmin: within each small block
-      every request picks the lane with the least loaded frontier, then
-      the frontiers advance by the service each lane absorbed.  Blocks
-      trade guess accuracy for vectorization; ``inf`` (infeasible)
-      entries lose every argmin, steering guesses to feasible lanes.
-    """
-    k, B = svc.shape
-    if k == 1:
-        return np.zeros(B, dtype=np.int64)
-    if k == 2:
-        s0, s1 = svc[0], svc[1]
-        s0f = _finite_or(s0, 0.0)
-        u = np.cumsum(s0f)
-        u -= s1
-        if s0f is not s0:
-            u[~np.isfinite(s0)] = _INF
-        v = s0f + _finite_or(s1, 0.0)
-        return _walk_picks(u, v, float(free[1]) - float(free[0])).astype(np.int64)
-    d = np.empty(B, dtype=np.int64)
-    frontier = np.asarray(free, dtype=np.float64).copy()
-    block = max(32, 2 * k)
-    offsets = np.arange(block)
-    for lo in range(0, B, block):
-        hi = min(lo + block, B)
-        blk = svc[:, lo:hi]
-        pick = np.argmin(frontier[:, None] + blk, axis=0)
-        d[lo:hi] = pick
-        frontier += np.bincount(
-            pick, weights=blk[pick, offsets[: hi - lo]], minlength=k
+def require_native(dispatch: str) -> None:
+    """Raise the ``ValueError`` an explicit ``dispatch`` mode gets when
+    the kernel is unavailable, naming the reason."""
+    if _native_dispatch is None:
+        reason = _native.UNAVAILABLE_REASON or "disabled in this process"
+        raise ValueError(
+            f"dispatch={dispatch!r} needs the native k-wide dispatch kernel, "
+            f"which is unavailable ({reason}); use dispatch='auto' or "
+            f"'table' for the portable engine"
         )
-    return d
 
 
-def _round_k_busy(a, c, services, free, limit=_INF, nds=None, corrected=True):
-    """One saturated-regime speculation round at any width.
-
-    Returns ``(accepted, accs, starts, fins, reason)`` where ``reason``
-    is ``None`` (full window), ``"idle"`` (the cut position needs an
-    idle admission — the caller should try the idle guesser), or
-    ``"boundary"`` (a ``limit``/next-down fault-segment constraint cut).
-    """
-    k = services.shape[0]
-    B = a.size
-    svc = services[:, c]
-    d = _guess_busy(svc, free)
-    ar = _arange(B)
-    onehot = d == np.arange(k)[:, None]
-    excl = np.cumsum(onehot, axis=1)
-    excl -= onehot
-    fb = np.empty((k, B))
-    trajs = []
-    for i in range(k):
-        traj = np.cumsum(np.concatenate(((free[i],), svc[i][onehot[i]])))
-        trajs.append(traj)
-        fb[i] = traj[excl[i]]
-    # the selected accelerator's free-before must not exceed the
-    # arrival (busy-handoff semantics)
-    ok = fb[d, ar] >= a
-    st = np.maximum(a, fb)
-    fin = st + svc
-    w = np.argmin(fin, axis=0)
-    ok &= w == d
-    if limit != _INF:
-        ok &= (st < limit).all(axis=0)
-    if nds is not None and any(nd != _INF for nd in nds):
-        nds_arr = np.asarray(nds)
-        ok &= fin[d, ar] <= nds_arr[d]
-    if ok.all():
-        for i in range(k):
-            free[i] = float(trajs[i][-1])
-        return B, d, st[d, ar], fin[d, ar], None
-    q = int(np.argmin(ok))
-    for i in range(k):
-        free[i] = float(trajs[i][excl[i][q]])
-    accs = d[:q]
-    starts = st[d[:q], ar[:q]]
-    fins = fin[d[:q], ar[:q]]
-    reason = None if float(fb[d[q], q]) >= float(a[q]) else "idle"
-    if not corrected:
-        return q, accs, starts, fins, reason or "boundary"
-    step = _corrected_step_k(float(a[q]), svc[:, q], free, limit, nds)
-    if step is None:
-        return q, accs, starts, fins, "boundary"
-    return (
-        q + 1,
-        np.concatenate((accs, (step[0],))),
-        np.concatenate((starts, (step[1],))),
-        np.concatenate((fins, (step[2],))),
-        reason,
-    )
-
-
-def _round_k_idle(a, c, services, free, limit=_INF, nds=None, corrected=True):
-    """One idle-regime round: every admission guessed as ``arrival + service``."""
-    k = services.shape[0]
-    B = a.size
-    svc = services[:, c]
-    finc = a + svc
-    d = np.argmin(finc, axis=0)
-    ar = _arange(B)
-    fins_full = finc[d, ar]
-    fb = np.empty((k, B))
-    lasts = np.empty((k, B), dtype=np.int64)
-    prev = np.empty(B, dtype=np.int64)
-    for i in range(k):
-        lasts[i] = np.maximum.accumulate(np.where(d == i, ar, -1))
-        prev[0] = -1
-        prev[1:] = lasts[i][:-1]
-        fb[i] = np.where(prev >= 0, fins_full[np.maximum(prev, 0)], free[i])
-    ok = (a >= fb).all(axis=0)
-    if nds is not None and any(nd != _INF for nd in nds):
-        nds_arr = np.asarray(nds)
-        ok &= fins_full <= nds_arr[d]
-    # starts equal arrivals wherever ``ok`` holds, so a finite ``limit``
-    # is already satisfied: segment batches only contain times < limit
-    if ok.all():
-        for i in range(k):
-            last = int(lasts[i][-1])
-            if last >= 0:
-                free[i] = float(fins_full[last])
-        return B, d, a.copy(), fins_full, None
-    q = int(np.argmin(ok))
-    if q:
-        for i in range(k):
-            last = int(lasts[i][q - 1])
-            if last >= 0:
-                free[i] = float(fins_full[last])
-    accs = d[:q]
-    starts = a[:q].copy()
-    fins = fins_full[:q]
-    reason = "busy" if bool((a[q] < fb[:, q]).any()) else None
-    if not corrected:
-        return q, accs, starts, fins, reason or "boundary"
-    step = _corrected_step_k(float(a[q]), svc[:, q], free, limit, nds)
-    if step is None:
-        return q, accs, starts, fins, "boundary"
-    return (
-        q + 1,
-        np.concatenate((accs, (step[0],))),
-        np.concatenate((starts, (step[1],))),
-        np.concatenate((fins, (step[2],))),
-        reason,
-    )
-
-
-def _corrected_step_k(arrival, svc_col, free, limit, nds=None):
-    """One exact scalar dispatch step from verified state.
-
-    Mirrors the scan body bit for bit: ``start = arrival if arrival >
-    free else free``, ``finish = start + service``, winner = first
-    strictly smaller finish in lane order.  Updates ``free`` in place
-    and returns ``(acc, start, finish)``, or ``None`` when a
-    fault-segment constraint (any start beyond ``limit``, winner finish
-    past its accelerator's next down window) means the scalar fault
-    loop must take over.
-    """
-    starts = [arrival if arrival > f else f for f in free]
-    for st in starts:
-        if st >= limit:
-            return None
-    best = 0
-    best_fin = starts[0] + float(svc_col[0])
-    for i in range(1, len(starts)):
-        fin = starts[i] + float(svc_col[i])
-        if fin < best_fin:
-            best = i
-            best_fin = fin
-    if nds is not None and best_fin > nds[best]:
-        return None
-    free[best] = best_fin
-    return best, starts[best], best_fin
-
-
-def _one_round(a, c, services, free, busy, limit=_INF, next_downs=None, corrected=True):
-    nds = tuple(next_downs) if next_downs else None
-    if busy:
-        return _round_k_busy(a, c, services, free, limit, nds, corrected)
-    return _round_k_idle(a, c, services, free, limit, nds, corrected)
-
-
-def dispatch_vectorized(
-    arrivals, class_ids, services, free, flush, chunk_size, fallback=None
-):
-    """Dispatch a fault-free trace in speculate-and-verify rounds.
+def dispatch_vectorized(arrivals, class_ids, services, free, flush, chunk_size):
+    """Dispatch a fault-free trace through the kernel.
 
     ``services`` is a ``(width, classes)`` float64 matrix with ``inf``
     marking infeasible pairs; ``free`` is the mutable per-accelerator
-    clock list shared with the scalar engines.  ``fallback(lo, hi)``
-    dispatches ``arrivals[lo:hi]`` through a scalar engine from the
-    current ``free`` state: it absorbs the stretches speculation keeps
-    mispredicting (regime transitions, adversarial arrival patterns) in
-    escalating bursts.  Without a fallback the function returns early
-    instead; the return value is how many requests were dispatched from
-    the front of the trace (``arrivals.size`` when a fallback is given).
+    clock list shared with the scalar engines.  Each ``chunk_size``
+    block is one kernel call followed by ``flush(base, accs, starts,
+    fins)`` with NumPy arrays.
     """
-    n = int(arrivals.size)
-    if _native_dispatch is not None:
-        # exact native loop: no speculation to verify, no constraints to
-        # hit — every chunk is fully dispatched in one C pass, and the
-        # chunk-sized flushes keep streaming summation boundaries
-        # identical to the scalar engines
-        pos = 0
-        while pos < n:
-            hi = min(pos + chunk_size, n)
-            _, accs, starts, fins = _native_dispatch(
-                arrivals[pos:hi], class_ids[pos:hi], services, free, _INF
-            )
-            flush(pos, accs, starts, fins)
-            pos = hi
-        return n
-    pos = 0
-    max_window = max(chunk_size, MIN_WINDOW)
-    window = MIN_WINDOW
-    busy = max(free) > float(arrivals[0]) if n else False
-    stalls = 0
-    burst = MIN_BURST
-    while pos < n:
-        hi = min(pos + window, n)
-        span = hi - pos
-        q, accs, starts, fins, reason = _one_round(
-            arrivals[pos:hi], class_ids[pos:hi], services, free, busy
+    for lo in range(0, int(arrivals.size), chunk_size):
+        hi = lo + chunk_size
+        _, accs, starts, fins = _native_dispatch(
+            arrivals[lo:hi], class_ids[lo:hi], services, free, math.inf
         )
-        if q:
-            flush(pos, accs, starts, fins)
-            pos += q
-        if reason == "idle":
-            busy = False
-        elif reason == "busy":
-            busy = True
-        if q >= span:
-            window = min(window * 4, max_window)
-            stalls = 0
-            burst = MIN_BURST
-        elif q >= STALL_ACCEPT:
-            window = min(max(2 * q, MIN_WINDOW), max_window)
-            stalls = 0
-            burst = MIN_BURST
-        else:
-            window = MIN_WINDOW
-            stalls += 1
-            if stalls >= MAX_STALLS:
-                if fallback is None:
-                    return pos
-                end = min(pos + burst, n)
-                fallback(pos, end)
-                pos = end
-                burst = min(burst * 2, max_window)
-                stalls = 0
-                if pos < n:
-                    busy = max(free) > float(arrivals[pos])
-    return n
+        flush(lo, accs, starts, fins)
 
 
 def dispatch_segment(times, class_ids, services, free, limit, next_downs):
@@ -398,38 +72,7 @@ def dispatch_segment(times, class_ids, services, free, limit, next_downs):
     segment opens (``inf`` when none): any admission whose start would
     reach ``limit`` or whose finish would cross its accelerator's next
     down window is left to the scalar fault loop, which owns the kill
-    and requeue bookkeeping.  Returns ``(accepted, accs, starts,
-    fins)`` for the verified prefix.
+    and requeue bookkeeping.  Returns ``(accepted, accs, starts, fins)``
+    for the dispatched prefix.
     """
-    n = int(times.size)
-    if n and _native_dispatch is not None:
-        nds = tuple(next_downs) if next_downs else None
-        q, accs, starts, fins = _native_dispatch(
-            times, class_ids, services, free, limit, nds
-        )
-        return q, ([(0, accs, starts, fins)] if q else [])
-    busy = max(free) > float(times[0]) if n else False
-    pos = 0
-    out = []
-    while pos < n:
-        q, accs, starts, fins, reason = _one_round(
-            times[pos:n],
-            class_ids[pos:n],
-            services,
-            free,
-            busy,
-            limit=limit,
-            next_downs=next_downs,
-        )
-        if q:
-            out.append((pos, accs, starts, fins))
-            pos += q
-        if reason == "boundary":
-            break
-        if reason == "idle":
-            busy = False
-        elif reason == "busy":
-            busy = True
-        if not q:
-            break
-    return pos, out
+    return _native_dispatch(times, class_ids, services, free, limit, next_downs)

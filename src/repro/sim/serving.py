@@ -8,19 +8,21 @@ fully reproducible), dispatches each request to the partition
 accelerator that finishes it earliest, and reports throughput and
 latency percentiles.
 
-The dispatch engines all produce **byte-identical** decisions:
+The three dispatch engines all produce **byte-identical** decisions:
 
 * the seed scan (``dispatch="scan"``) — the original O(requests x
   accelerators) loop, kept as the ground truth and benchmark baseline;
-* the fast path (default) — per-shape-class service tables resolved
-  once per ``(accelerator, shape)`` pair, a dense earliest-finish scan
-  for small partitions and a per-class lazy earliest-finish heap
-  (O(n log k)) for larger ones;
-* the vectorized engine (``dispatch="vectorized"``, auto-selected for
-  one- and two-wide partitions on fault-free runs) — NumPy
-  speculate-and-verify batches over the SoA trace
-  (:mod:`repro.sim.dispatch_batch`), retiring tens of thousands of
-  requests per interpreter round-trip.
+* the table engine (``dispatch="table"``) — per-shape-class service
+  tables resolved once per ``(accelerator, shape)`` pair and a dense
+  earliest-finish loop in pure Python: the portable path for hosts
+  without a C compiler;
+* the vectorized engine (``dispatch="vectorized"``) — the native k-wide
+  C kernel over the SoA trace (:mod:`repro.sim.dispatch_batch`),
+  retiring a whole chunk of requests per interpreter round-trip.
+
+``dispatch="auto"`` (the default) runs the vectorized engine whenever
+the kernel compiled and the table engine otherwise, at every partition
+width, with or without faults.
 
 ``run(..., streaming=True)`` feeds dispatched chunks straight into a
 :class:`~repro.sim.streaming.StreamingServingReport` — O(1) memory in
@@ -86,6 +88,7 @@ from repro.sim.dispatch_batch import (
     dispatch_segment,
     dispatch_vectorized,
     native_available,
+    require_native,
 )
 from repro.sim.streaming import (
     SoATrace,
@@ -99,24 +102,24 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.slo import SloSpec
     from repro.obs.windows import ServingMonitor
 
-#: partitions at least this large dispatch through the per-class heap
-#: (below it, the dense table scan's constant factors win)
-HEAP_MIN_ACCELERATORS = 7
-
 #: requests buffered between streaming-report flushes (bounds memory)
 DISPATCH_CHUNK = 65536
 
-_DISPATCH_MODES = ("auto", "vectorized", "heap", "table", "scan")
+_DISPATCH_MODES = ("auto", "vectorized", "table", "scan")
 
-#: widths where ``auto`` still prefers the vectorized engine when only
-#: the NumPy speculate-and-verify fallback is available (no C
-#: compiler).  With the native kernel present the vectorized engine
-#: wins at every width — the measured crossover vs the heap is far
-#: beyond realistic fleets (see docs/performance.md) — so this
-#: constant only gates the fallback, whose guess quality drops on wide
-#: fleets.  ``dispatch="vectorized"`` is explicit and legal at any
-#: width either way.
-VECTORIZED_MAX_ACCELERATORS = 2
+
+def _resolve_engine(dispatch: str) -> str:
+    """The engine a ``dispatch`` mode runs on.
+
+    ``auto`` is the native kernel when it compiled and the portable
+    table engine otherwise; an explicit ``vectorized`` without the
+    kernel raises instead of falling back.
+    """
+    if dispatch == "auto":
+        return "vectorized" if native_available() else "table"
+    if dispatch == "vectorized":
+        require_native(dispatch)
+    return dispatch
 
 
 @dataclass(frozen=True)
@@ -319,7 +322,7 @@ def generate_trace(
     return requests
 
 
-def _dispatch_pair(arrivals, class_ids, svc0, svc1, free, flush, chunk_size):
+def _dispatch_table_pair(arrivals, class_ids, svc0, svc1, free, flush, chunk_size):
     """Two-accelerator earliest-finish dispatch, fully unrolled.
 
     The hot loop of the common case (a two-way partition where every
@@ -370,7 +373,7 @@ def _dispatch_table(arrivals, class_ids, specs, free, flush, chunk_size):
     if len(free) == 2 and all(len(spec) == 4 for spec in used):
         svc0 = [spec[1] if spec else math.inf for spec in specs]
         svc1 = [spec[3] if spec else math.inf for spec in specs]
-        _dispatch_pair(arrivals, class_ids, svc0, svc1, free, flush, chunk_size)
+        _dispatch_table_pair(arrivals, class_ids, svc0, svc1, free, flush, chunk_size)
         return
     infinity = math.inf
     n = len(arrivals)
@@ -421,78 +424,6 @@ def _dispatch_table(arrivals, class_ids, specs, free, flush, chunk_size):
         flush(lo, out_acc, out_start, out_fin)
 
 
-def _dispatch_heap(arrivals, class_ids, heap_tables, free, flush, chunk_size):
-    """Per-class lazy earliest-finish heaps: O(n log k) dispatch.
-
-    Each class keeps one heap entry per feasible accelerator keyed by
-    ``(free + service, order)``; entries go stale when another class
-    dispatches the accelerator and are re-keyed lazily on pop.  Idle
-    accelerators (``free <= arrival``) are resolved through the class's
-    static ``(service, order)`` ranking, because their finish is
-    ``arrival + service``, not ``free + service``.  Decisions stay
-    byte-identical to the scan: both minimize ``(finish, scan order)``.
-    """
-    infinity = math.inf
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    heapreplace = heapq.heapreplace
-    n = len(arrivals)
-    out_acc: list[int] = []
-    out_start: list[float] = []
-    out_fin: list[float] = []
-    base = 0
-    for index in range(n):
-        arrival = arrivals[index]
-        heap, services, idle_rank = heap_tables[class_ids[index]]
-        busy_key = infinity
-        busy_order = -1
-        busy_acc = -1
-        stash = None
-        while heap:
-            key, order, acc, snapshot = heap[0]
-            current = free[acc]
-            if snapshot != current:
-                heapreplace(heap, (current + services[acc], order, acc, current))
-                continue
-            if current <= arrival:
-                if stash is None:
-                    stash = []
-                stash.append(heappop(heap))
-                continue
-            busy_key, busy_order, busy_acc = key, order, acc
-            break
-        if stash is not None:
-            for entry in stash:
-                heappush(heap, entry)
-        idle_finish = infinity
-        idle_order = -1
-        idle_acc = -1
-        for service, order, acc in idle_rank:
-            if free[acc] <= arrival:
-                idle_finish = arrival + service
-                idle_order = order
-                idle_acc = acc
-                break
-        if idle_acc >= 0 and (
-            busy_acc < 0
-            or idle_finish < busy_key
-            or (idle_finish == busy_key and idle_order < busy_order)
-        ):
-            best_acc, best_start, best_finish = idle_acc, arrival, idle_finish
-        else:
-            best_acc, best_start, best_finish = busy_acc, free[busy_acc], busy_key
-        free[best_acc] = best_finish
-        out_acc.append(best_acc)
-        out_start.append(best_start)
-        out_fin.append(best_finish)
-        if len(out_acc) >= chunk_size:
-            flush(base, out_acc, out_start, out_fin)
-            base = index + 1
-            out_acc, out_start, out_fin = [], [], []
-    if out_acc:
-        flush(base, out_acc, out_start, out_fin)
-
-
 class _FaultView:
     """Fast time-indexed queries over a fault schedule for one partition.
 
@@ -502,7 +433,7 @@ class _FaultView:
     cache keys on positions, not objects.  Accelerators whose *healthy*
     device cannot serve a shape class stay infeasible for it in every
     window (degraded hardware never unlocks new shapes), which keeps the
-    three selectors' candidate sets identical by construction.
+    scan and table selectors' candidate sets identical by construction.
     """
 
     def __init__(self, simulator, schedule, names, classes, specs):
@@ -529,7 +460,6 @@ class _FaultView:
             self._down_starts.append([w.start for w in windows if w.kind == "down"])
         self._transitions = schedule.transitions()
         self._degraded_cache: dict[tuple[int, int, int], float | None] = {}
-        self._min_cache: dict[tuple[int, int], float | None] = {}
 
     def window_index_at(self, order: int, time: float) -> int | None:
         index = bisect.bisect_right(self._window_starts[order], time) - 1
@@ -561,25 +491,6 @@ class _FaultView:
         if window.kind == "down":
             return None
         return self._degraded(order, index, cid, base)
-
-    def min_service(self, order: int, cid: int) -> float | None:
-        """Minimum service across every state — the heap's lower bound."""
-        key = (order, cid)
-        if key in self._min_cache:
-            return self._min_cache[key]
-        base = self.base[order][cid]
-        if base is None:
-            value = None
-        else:
-            value = base
-            for index, window in enumerate(self.windows[order]):
-                if window.kind != "degraded":
-                    continue
-                degraded = self._degraded(order, index, cid, base)
-                if degraded is not None and degraded < value:
-                    value = degraded
-        self._min_cache[key] = value
-        return value
 
     def _degraded(
         self, order: int, index: int, cid: int, base: float
@@ -669,81 +580,6 @@ class _TableFaultSelector:
             finish = start + service
             if finish < best_finish:
                 best_finish, best_order, best_start = finish, order, start
-        if best_order < 0:
-            return None
-        return best_order, best_start, best_finish
-
-
-class _HeapFaultSelector:
-    """Lazy per-class heaps under faults, keyed by a true lower bound.
-
-    A fault-free heap entry's key ``free + service`` is exact; under
-    faults the service depends on the admission instant, so entries are
-    keyed ``free + min_service`` (the minimum across the healthy device
-    and every degraded window — a lower bound on any admission's
-    finish).  Popped entries get their exact finish resolved at the
-    attempt time; the pop loop stops as soon as the best exact candidate
-    beats the heap top's lower bound, so no candidate is ever missed.
-    Entries are stashed and pushed back because availability is
-    time-varying — an accelerator unusable now may win later.
-    """
-
-    def __init__(self, specs: list[tuple], view: _FaultView, free: list[float]):
-        self.view = view
-        self.free = free
-        self.heaps: list[list | None] = []
-        self.min_svc: list[dict[int, float] | None] = []
-        for cid, spec in enumerate(specs):
-            if not spec:
-                self.heaps.append(None)
-                self.min_svc.append(None)
-                continue
-            heap = []
-            mins: dict[int, float] = {}
-            for offset in range(0, len(spec), 2):
-                order = spec[offset]
-                lower = view.min_service(order, cid)
-                if lower is None:  # pragma: no cover - base implies a bound
-                    continue
-                mins[order] = lower
-                heap.append((0.0 + lower, order, order, 0.0))
-            heapq.heapify(heap)
-            self.heaps.append(heap)
-            self.min_svc.append(mins)
-
-    def select(self, t: float, cid: int):
-        heap = self.heaps[cid]
-        mins = self.min_svc[cid]
-        view = self.view
-        free = self.free
-        heappop = heapq.heappop
-        heapreplace = heapq.heapreplace
-        best_finish = math.inf
-        best_order = -1
-        best_start = 0.0
-        stash = []
-        while heap:
-            key, order, acc, snapshot = heap[0]
-            current = free[acc]
-            if snapshot != current:
-                heapreplace(heap, (current + mins[acc], order, acc, current))
-                continue
-            if best_order >= 0 and (
-                best_finish < key or (best_finish == key and best_order < order)
-            ):
-                break
-            stash.append(heappop(heap))
-            start = current if current > t else t
-            service = view.service_at(acc, cid, start)
-            if service is None:
-                continue
-            finish = start + service
-            if finish < best_finish or (
-                finish == best_finish and order < best_order
-            ):
-                best_finish, best_order, best_start = finish, order, start
-        for entry in stash:
-            heapq.heappush(heap, entry)
         if best_order < 0:
             return None
         return best_order, best_start, best_finish
@@ -919,17 +755,14 @@ class ServingSimulator:
         """Serve ``trace``; return an exact or streaming report.
 
         ``dispatch`` selects the engine: ``auto``, ``vectorized``,
-        ``table``, ``heap``, or ``scan`` (the seed loop, exact mode
-        only).  The vectorized engine — the native k-wide exact loop
-        when a C compiler is present, the NumPy speculate-and-verify
-        fallback otherwise — is legal at **any** partition width.  On
-        fault-free runs ``auto`` picks it at every width when the
-        native kernel is available and up to
-        :data:`VECTORIZED_MAX_ACCELERATORS` otherwise, then falls back
-        to the table below :data:`HEAP_MIN_ACCELERATORS` and the heap
-        at or above it; under a fault schedule ``auto`` keeps the
-        scalar selectors and explicit ``vectorized`` batches the clean
-        segments between fault transitions.  All engines make
+        ``table``, or ``scan`` (the seed loop, exact mode only).  The
+        vectorized engine is the native k-wide kernel, legal at any
+        partition width; under a fault schedule it batches the clean
+        segments between fault transitions and leaves kills, requeues
+        and sheds to the scalar fault loop.  ``auto`` picks it whenever
+        the kernel compiled and the table engine otherwise, clean or
+        faulted; an explicit ``vectorized`` without the kernel raises
+        ``ValueError`` naming the reason.  All engines make
         byte-identical dispatch decisions — engine choice is purely a
         throughput knob (see the engine-selection matrix in
         ``docs/performance.md``).
@@ -954,12 +787,13 @@ class ServingSimulator:
         if streaming and dispatch == "scan":
             raise ValueError("streaming mode requires a fast dispatch engine")
         if len(trace) == 0:
-            # one uniform contract across all four engines: an empty
+            # one uniform contract across every engine: an empty
             # trace has no dispatch semantics (generate_trace* likewise
             # reject num_requests < 1)
             raise ValueError(
                 "cannot serve an empty trace: num_requests must be positive"
             )
+        engine = _resolve_engine(dispatch)
         before = self.stats.snapshot()
         try:
             with span(
@@ -967,6 +801,7 @@ class ServingSimulator:
                 track="serving",
                 requests=len(trace),
                 dispatch=dispatch,
+                engine=engine,
                 streaming=streaming,
                 faulted=faults is not None and not faults.is_empty,
             ), track(self.stats):
@@ -975,6 +810,7 @@ class ServingSimulator:
                         trace,
                         streaming=streaming,
                         dispatch=dispatch,
+                        engine=engine,
                         quantile_error=quantile_error,
                         chunk_size=chunk_size,
                         faults=faults,
@@ -993,6 +829,7 @@ class ServingSimulator:
                     trace,
                     streaming=streaming,
                     dispatch=dispatch,
+                    engine=engine,
                     quantile_error=quantile_error,
                     chunk_size=chunk_size,
                     monitor=monitor,
@@ -1006,6 +843,7 @@ class ServingSimulator:
         *,
         streaming: bool,
         dispatch: str,
+        engine: str,
         quantile_error: float,
         chunk_size: int,
         faults: FaultSchedule,
@@ -1017,9 +855,10 @@ class ServingSimulator:
         Attempts live in a heap of ``(time, arrival position, retries)``
         — time-ordered, position-tied — so re-attempts interleave with
         later arrivals deterministically.  The engines differ only in
-        candidate *selection*; the loop (kills, backoff, requeues,
-        shedding) is one code path, which is what makes the three
-        engines' fault semantics identical by construction.
+        candidate *selection* (the vectorized engine additionally
+        batches clean segments through the kernel); the loop (kills,
+        backoff, requeues, shedding) is one code path, which is what
+        makes the engines' fault semantics identical by construction.
         """
         names = list(self.partition.designs)
         unknown = set(faults.accelerators()) - set(names)
@@ -1034,16 +873,11 @@ class ServingSimulator:
         n = len(arrivals)
         if streaming:
             report = StreamingServingReport(names, quantile_error=quantile_error)
-        specs = self._class_specs(classes, set(class_ids))
+        specs = self._class_specs(classes, set(class_ids), dispatch)
         self.stats.cache_hits += len(class_ids)
         view = _FaultView(self, faults, names, classes, specs)
         free = [0.0] * len(names)
-        use_heap = dispatch == "heap" or (
-            dispatch == "auto" and len(names) >= HEAP_MIN_ACCELERATORS
-        )
-        if use_heap:
-            selector = _HeapFaultSelector(specs, view, free)
-        elif dispatch == "scan":
+        if engine == "scan":
             selector = _ScanFaultSelector(view, free, len(names))
         else:
             selector = _TableFaultSelector(specs, view, free)
@@ -1067,14 +901,12 @@ class ServingSimulator:
         max_retries = policy.max_retries
         # the vectorized engine batches clean segments — stretches where
         # no fault window is active on any accelerator — through the
-        # speculate-and-verify rounds; the scalar loop below keeps sole
-        # ownership of kills, requeues and shedding, so anything the
-        # batch cannot prove safe (an admission crossing the next
-        # transition or down window) is simply handed back to it
-        use_batch = dispatch == "vectorized"
+        # kernel; the scalar loop below keeps sole ownership of kills,
+        # requeues and shedding, so anything the kernel cuts (an
+        # admission crossing the next transition or down window) is
+        # simply handed back to it
+        use_batch = engine == "vectorized"
         services = self._service_matrix(names, specs) if use_batch else None
-        if use_batch:
-            self._require_finite_services(names, services, classes)
         width = len(names)
         min_batch = 64
         batch_paused = False
@@ -1110,24 +942,13 @@ class ServingSimulator:
                                 else math.inf
                                 for order in range(width)
                             )
-                            accepted, segments = dispatch_segment(
+                            accepted, accs, starts, fins = dispatch_segment(
                                 times, cids, services, free, limit, next_downs
                             )
-                            for seg_base, accs, starts, fins in segments:
-                                for off, (acc, start, fin) in enumerate(
-                                    zip(
-                                        accs.tolist(),
-                                        starts.tolist(),
-                                        fins.tolist(),
-                                    )
-                                ):
-                                    item = batch[seg_base + off]
-                                    completions[item[1]] = (
-                                        acc,
-                                        start,
-                                        fin,
-                                        item[2],
-                                    )
+                            for item, acc, start, fin in zip(
+                                batch, accs.tolist(), starts.tolist(), fins.tolist()
+                            ):
+                                completions[item[1]] = (acc, start, fin, item[2])
                             for item in batch[accepted:]:
                                 heapq.heappush(queue, item)
                             if accepted == 0:
@@ -1327,9 +1148,17 @@ class ServingSimulator:
         return arrivals, class_ids, list(class_index), ordered
 
     def _class_specs(
-        self, classes: Sequence[GemmShape], used: set[int]
+        self, classes: Sequence[GemmShape], used: set[int], dispatch: str
     ) -> list[tuple]:
-        """Flat ``(acc, service, ...)`` dispatch spec per shape class."""
+        """Flat ``(acc, service, ...)`` dispatch spec per shape class.
+
+        Every engine but the clean scan reads its service times from
+        here, so this is where a NaN service fails loudly, naming the
+        offending accelerator and shape class: ``inf`` legitimately
+        marks infeasible pairs (it never wins a strict-less
+        earliest-finish comparison), but NaN poisons every comparison
+        and would silently desynchronize the engines from the scan.
+        """
         names = list(self.partition.designs)
         specs: list[tuple] = []
         for class_id, shape in enumerate(classes):
@@ -1339,9 +1168,15 @@ class ServingSimulator:
             flat: list = []
             for order, name in enumerate(names):
                 service = self._service_or_none(name, shape)
-                if service is not None:
-                    flat.append(order)
-                    flat.append(service)
+                if service is None:
+                    continue
+                if math.isnan(service):
+                    raise ValueError(
+                        f"dispatch={dispatch!r} requires finite service times: "
+                        f"accelerator {name!r} reports NaN for shape class {shape}"
+                    )
+                flat.append(order)
+                flat.append(service)
             if not flat:
                 raise ValueError(f"no accelerator can serve {shape}")
             specs.append(tuple(flat))
@@ -1356,49 +1191,21 @@ class ServingSimulator:
                 services[spec[offset], cid] = spec[offset + 1]
         return services
 
-    @staticmethod
-    def _require_finite_services(
-        names: Sequence[str], services: np.ndarray, classes: Sequence[GemmShape]
-    ) -> None:
-        """Reject NaN service entries for explicit ``dispatch="vectorized"``.
-
-        ``inf`` legitimately marks infeasible pairs (it can never win a
-        strict-less earliest-finish comparison), but NaN poisons every
-        comparison and would silently desynchronize the engines — so an
-        explicit vectorized request fails loudly, naming the offending
-        accelerator and shape class, instead of falling back.
-        """
-        bad = np.argwhere(np.isnan(services))
-        if bad.size:
-            order, cid = (int(value) for value in bad[0])
-            raise ValueError(
-                f"dispatch='vectorized' requires finite service times: "
-                f"accelerator {names[order]!r} reports NaN for shape class "
-                f"{classes[cid]}"
-            )
-
     def _run_fast(
         self,
         trace: Union[Sequence[Request], SoATrace],
         *,
         streaming: bool,
         dispatch: str,
+        engine: str,
         quantile_error: float,
         chunk_size: int,
         monitor: "ServingMonitor | None" = None,
     ) -> ServingReport | StreamingServingReport:
         names = list(self.partition.designs)
-        # the vectorized engine is legal at any width; ``auto`` picks it
-        # whenever the native exact loop is compiled (it beats both the
-        # table and the heap at every measured width) and keeps the
-        # NumPy speculative fallback to the narrow partitions where its
-        # guesses stay accurate
-        use_vectorized = dispatch == "vectorized" or (
-            dispatch == "auto"
-            and (native_available() or len(names) <= VECTORIZED_MAX_ACCELERATORS)
-        )
+        vectorized = engine == "vectorized"
         arrivals, class_ids, classes, requests = self._normalize(
-            trace, need_requests=not streaming, as_arrays=use_vectorized
+            trace, need_requests=not streaming, as_arrays=vectorized
         )
         if streaming:
             report = StreamingServingReport(names, quantile_error=quantile_error)
@@ -1409,14 +1216,13 @@ class ServingSimulator:
                     np.bincount(class_ids, minlength=len(classes))
                 ).tolist()
             )
-            if use_vectorized
+            if vectorized
             else set(class_ids)
         )
-        specs = self._class_specs(classes, used)
+        specs = self._class_specs(classes, used, dispatch)
         # dispatched service lookups are cache hits by construction
         self.stats.cache_hits += len(class_ids)
         free = [0.0] * len(names)
-        arrival_list = None if use_vectorized else arrivals.tolist()
 
         if streaming:
             def flush(base: int, accs: list, starts: list, finishes: list) -> None:
@@ -1447,7 +1253,7 @@ class ServingSimulator:
 
             def flush(base: int, accs: list, starts: list, finishes: list) -> None:
                 with span(
-                    "serve.dispatch_chunk",
+                    "serve.report_fold",
                     track="serving",
                     base=base,
                     size=len(accs),
@@ -1468,123 +1274,28 @@ class ServingSimulator:
                     np.asarray(finishes, dtype=np.float64),
                 )
 
-        if use_vectorized:
-            if streaming:
-                # The streaming report's running float sums depend on
-                # flush boundaries, so the variable-length accepted
-                # segments are buffered and re-emitted as exact
-                # ``chunk_size`` blocks — the same boundaries the scalar
-                # engines use — keeping ``as_dict()`` bit-identical.
-                pend_accs: list[np.ndarray] = []
-                pend_starts: list[np.ndarray] = []
-                pend_fins: list[np.ndarray] = []
-                pend = {"count": 0, "base": 0}
+        if not vectorized:
+            _dispatch_table(
+                arrivals.tolist(), class_ids, specs, free, flush, chunk_size
+            )
+        else:
+            if not streaming:
+                # the exact report holds Python floats, not NumPy scalars
+                array_flush = flush
 
-                def vflush(base, accs, starts, finishes):
-                    if pend["count"] == 0:
-                        pend["base"] = base
-                    accs = np.asarray(accs, dtype=np.int64)
-                    pend_accs.append(accs)
-                    pend_starts.append(np.asarray(starts))
-                    pend_fins.append(np.asarray(finishes))
-                    pend["count"] += len(accs)
-                    while pend["count"] >= chunk_size:
-                        accs_all = np.concatenate(pend_accs)
-                        starts_all = np.concatenate(pend_starts)
-                        fins_all = np.concatenate(pend_fins)
-                        flush(
-                            pend["base"],
-                            accs_all[:chunk_size],
-                            starts_all[:chunk_size],
-                            fins_all[:chunk_size],
-                        )
-                        del pend_accs[:], pend_starts[:], pend_fins[:]
-                        pend["base"] += chunk_size
-                        pend["count"] -= chunk_size
-                        if pend["count"]:
-                            pend_accs.append(accs_all[chunk_size:])
-                            pend_starts.append(starts_all[chunk_size:])
-                            pend_fins.append(fins_all[chunk_size:])
-
-                def vfinish() -> None:
-                    if pend["count"]:
-                        flush(
-                            pend["base"],
-                            np.concatenate(pend_accs),
-                            np.concatenate(pend_starts),
-                            np.concatenate(pend_fins),
-                        )
-                        del pend_accs[:], pend_starts[:], pend_fins[:]
-                        pend["count"] = 0
-
-                seg_flush = vflush
-            else:
-                inner = flush
-
-                def vflush(base, accs, starts, finishes):
-                    inner(base, accs.tolist(), starts.tolist(), finishes.tolist())
-
-                vfinish = None
-                seg_flush = flush
-
-            services = self._service_matrix(names, specs)
-            if dispatch == "vectorized":
-                self._require_finite_services(names, services, classes)
-
-            def fallback(lo: int, hi: int) -> None:
-                # scalar burst over a stretch speculation keeps
-                # mispredicting; same engine state, same decisions
-                def burst_flush(base, accs, starts, finishes):
-                    seg_flush(lo + base, accs, starts, finishes)
-
-                _dispatch_table(
-                    arrivals[lo:hi].tolist(),
-                    class_ids[lo:hi].tolist(),
-                    specs,
-                    free,
-                    burst_flush,
-                    chunk_size,
-                )
+                def flush(base, accs, starts, finishes):
+                    array_flush(
+                        base, accs.tolist(), starts.tolist(), finishes.tolist()
+                    )
 
             dispatch_vectorized(
                 arrivals,
                 class_ids,
-                services,
+                self._service_matrix(names, specs),
                 free,
-                vflush,
+                flush,
                 chunk_size,
-                fallback=fallback,
             )
-            if vfinish is not None:
-                vfinish()
-            return report if streaming else ServingReport(completed=completed)
-
-        use_heap = dispatch == "heap" or (
-            dispatch == "auto" and len(names) >= HEAP_MIN_ACCELERATORS
-        )
-        if use_heap:
-            heap_tables = []
-            for spec in specs:
-                if not spec:
-                    heap_tables.append(None)
-                    continue
-                services = [math.inf] * len(names)
-                heap = []
-                idle_rank = []
-                for offset in range(0, len(spec), 2):
-                    order = spec[offset]
-                    service = spec[offset + 1]
-                    services[order] = service
-                    heap.append((0.0 + service, order, order, 0.0))
-                    idle_rank.append((service, order, order))
-                heapq.heapify(heap)
-                idle_rank.sort()
-                heap_tables.append((heap, services, idle_rank))
-            _dispatch_heap(
-                arrival_list, class_ids, heap_tables, free, flush, chunk_size
-            )
-        else:
-            _dispatch_table(arrival_list, class_ids, specs, free, flush, chunk_size)
         return report if streaming else ServingReport(completed=completed)
 
 

@@ -1,17 +1,17 @@
 """Differential conformance harness for the serving dispatch engines.
 
-The serving engine's core claim is that the scan, table, heap, and
-vectorized dispatch paths — and the exact and streaming reports — are
-*the same scheduler* expressed four ways.  This module makes that
-claim a first-class, reusable assertion instead of an ad-hoc benchmark
-check:
+The serving engine's core claim is that the scan, table, and vectorized
+dispatch paths — and the exact and streaming reports — are *the same
+scheduler* expressed three ways.  This module makes that claim a
+first-class, reusable assertion instead of an ad-hoc benchmark check:
 
-* :func:`make_partition` builds stub partitions of any width (1–9+),
-  crossing the ``HEAP_MIN_ACCELERATORS`` auto-dispatch boundary, with
-  infeasible pairs sprinkled in;
+* :func:`make_partition` builds stub partitions of any width (1–16+),
+  with infeasible pairs sprinkled in;
 * :func:`assert_engines_identical` runs every engine on the same seeded
   trace (with or without a fault schedule) and diffs the per-request
-  assignments byte for byte, plus the exact-vs-streaming summaries.
+  assignments byte for byte, plus the exact-vs-streaming summaries;
+* :data:`VECTORIZED` is the ``vectorized`` engine as a pytest parameter
+  that skips, with a reason, where the native kernel is unavailable.
 
 Import these from any test that adds a new dispatch path or fault
 semantic — if the engines can disagree, this is the function that must
@@ -20,8 +20,19 @@ catch it.
 
 from __future__ import annotations
 
+import pytest
+
+from repro.sim.dispatch_batch import native_available
 from repro.sim.serving import ServingSimulator
 from repro.workloads.gemm import GemmShape
+
+NO_KERNEL = "native k-wide dispatch kernel unavailable"
+
+#: the vectorized engine as a test parameter, skipped without the kernel
+VECTORIZED = pytest.param(
+    "vectorized",
+    marks=pytest.mark.skipif(not native_available(), reason=NO_KERNEL),
+)
 
 #: the default shape mix used by the parametrized conformance tests
 SHAPES = (
@@ -94,6 +105,12 @@ def shed_rows(report) -> list[tuple]:
     ]
 
 
+def fast_engines() -> tuple[str, ...]:
+    """The non-scan engines to diff: ``vectorized`` needs the kernel;
+    without it ``auto`` (which then runs ``table``) takes its place."""
+    return ("table", "vectorized") if native_available() else ("table", "auto")
+
+
 def assert_engines_identical(
     trace,
     partition,
@@ -103,15 +120,17 @@ def assert_engines_identical(
 ) -> dict:
     """Assert all dispatch engines and exact/streaming reports agree.
 
-    Runs each engine on a **fresh** simulator (no shared scheduler
-    state), diffs the per-request assignment and shed lists byte for
-    byte, then checks the streaming report against the exact one:
-    makespan, count, and loads exactly; the mean to float tolerance;
-    percentiles within twice the sketch's documented bound.  Returns
-    the exact table-engine report's rows for further assertions.
+    Runs the scan and each of :func:`fast_engines` on a **fresh**
+    simulator (no shared scheduler state), diffs the per-request
+    assignment and shed lists byte for byte, then checks the streaming
+    report against the exact one: makespan, count, and loads exactly;
+    the mean to float tolerance; percentiles within twice the sketch's
+    documented bound.  Returns the exact table-engine report's rows for
+    further assertions.
     """
+    engines = fast_engines()
     exact = {}
-    for engine in ("scan", "table", "heap", "vectorized"):
+    for engine in ("scan",) + engines:
         simulator = ServingSimulator(partition)
         exact[engine] = simulator.run(
             trace, dispatch=engine, faults=faults, fault_policy=policy
@@ -119,7 +138,7 @@ def assert_engines_identical(
     base = exact["table"]
     base_rows = dispatch_rows(base)
     base_shed = shed_rows(base)
-    for engine in ("scan", "heap", "vectorized"):
+    for engine in ("scan",) + engines[1:]:
         assert dispatch_rows(exact[engine]) == base_rows, (
             f"{engine} dispatch differs from table"
         )
@@ -131,7 +150,7 @@ def assert_engines_identical(
         )
 
     streaming = {}
-    for engine in ("table", "heap", "vectorized"):
+    for engine in engines:
         simulator = ServingSimulator(partition)
         streaming[engine] = simulator.run(
             trace,
@@ -141,7 +160,7 @@ def assert_engines_identical(
             faults=faults,
             fault_policy=policy,
         )
-    for engine in ("heap", "vectorized"):
+    for engine in engines[1:]:
         assert streaming["table"].as_dict() == streaming[engine].as_dict(), (
             f"streaming summaries differ between table and {engine}"
         )

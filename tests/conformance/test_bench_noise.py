@@ -1,6 +1,6 @@
 """Conformance: the bench harness is a faithful wrapper.
 
-Two contracts, CI-gated on both the native and NumPy dispatch legs:
+Two contracts, CI-gated with and without the native dispatch kernel:
 
 * **identity** — with ``noise=None`` the harness produces results
   byte-identical to driving :class:`repro.sim.serving.ServingSimulator`
@@ -33,7 +33,10 @@ from repro.mapping.configs import config_by_name
 from repro.sim.serving import ServingSimulator
 from repro.sim.streaming import generate_trace_soa
 
-ENGINES = ("scan", "table", "heap", "vectorized")
+from .harness import fast_engines
+
+#: every engine this process can run (``vectorized`` needs the kernel)
+ENGINES = ("scan",) + fast_engines()
 NOISE = [DramJitterNoise(0.1), ThermalDeratingNoise(0.2),
          ClockVariabilityNoise(0.05)]
 

@@ -1,9 +1,7 @@
-"""Differential identity tests across the scan/table/heap engines.
+"""Differential identity tests across the scan/table/vectorized engines.
 
-Parametrized over partition widths 1–16 so the suite crosses both of
-the historical auto-dispatch boundaries — the old width-2 vectorized
-cap and ``HEAP_MIN_ACCELERATORS`` — on both sides, with and without
-fault schedules, on stub and real partitions.
+Parametrized over partition widths 1–16, with and without fault
+schedules, on stub and real partitions.
 """
 
 import pytest
@@ -11,9 +9,16 @@ import pytest
 from repro.core.multi_acc import AcceleratorPartition
 from repro.mapping.configs import config_by_name
 from repro.sim.chaos import FaultPolicy, FaultSchedule, chaos_schedule
-from repro.sim.serving import HEAP_MIN_ACCELERATORS, ServingSimulator, generate_trace
+from repro.sim.serving import ServingSimulator, generate_trace
 
-from .harness import SHAPES, assert_engines_identical, dispatch_rows, make_partition
+from .harness import (
+    SHAPES,
+    VECTORIZED,
+    assert_engines_identical,
+    dispatch_rows,
+    fast_engines,
+    make_partition,
+)
 
 WIDTHS = list(range(1, 17))
 
@@ -32,10 +37,6 @@ def _schedule_for(width):
     if width >= 7:
         windows = windows + FaultSchedule.degraded("acc6", 0.0, 0.2, factor=4.0)
     return windows
-
-
-def test_widths_cross_heap_boundary():
-    assert WIDTHS[0] < HEAP_MIN_ACCELERATORS <= WIDTHS[-1]
 
 
 @pytest.mark.parametrize("width", WIDTHS)
@@ -67,7 +68,7 @@ def test_empty_schedule_matches_no_faults():
     """``FaultSchedule(())`` must take the untouched fault-free paths."""
     trace = _trace()
     partition = make_partition(5)
-    for engine in ("scan", "table", "heap"):
+    for engine in ("scan",) + fast_engines():
         plain = ServingSimulator(partition).run(trace, dispatch=engine)
         empty = ServingSimulator(partition).run(
             trace, dispatch=engine, faults=FaultSchedule(())
@@ -109,7 +110,7 @@ def test_fault_runs_deterministic():
     assert first.fault_summary() == second.fault_summary()
 
 
-@pytest.mark.parametrize("dispatch", ["scan", "table", "heap", "vectorized", "auto"])
+@pytest.mark.parametrize("dispatch", ["scan", "table", VECTORIZED, "auto"])
 def test_empty_trace_rejected_uniformly(dispatch):
     """Every engine raises the same clear ValueError for an empty trace.
 

@@ -17,7 +17,13 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from repro.sim.chaos import FaultPolicy, FaultSchedule  # noqa: E402
 from repro.sim.serving import ServingSimulator, generate_trace  # noqa: E402
 
-from .harness import SHAPES, dispatch_rows, make_partition, shed_rows  # noqa: E402
+from .harness import (  # noqa: E402
+    SHAPES,
+    dispatch_rows,
+    fast_engines,
+    make_partition,
+    shed_rows,
+)
 
 
 @st.composite
@@ -117,7 +123,7 @@ def test_fault_runs_are_deterministic(scenario):
 def test_empty_schedule_is_byte_identical_on_every_engine(width, num_requests, seed):
     trace = generate_trace(SHAPES, num_requests, 2e-3, seed=seed)
     partition = make_partition(width)
-    for engine in ("scan", "table", "heap"):
+    for engine in ("scan",) + fast_engines():
         plain = ServingSimulator(partition).run(trace, dispatch=engine)
         empty = ServingSimulator(partition).run(
             trace, dispatch=engine, faults=FaultSchedule(())

@@ -1,14 +1,13 @@
-"""Property-based conformance for the k-wide speculation rounds.
+"""Property-based conformance for the native k-wide dispatch kernel.
 
-Hypothesis drives random partition widths, service matrices (with
+Hypothesis drives random partition widths (1–8), service matrices (with
 infeasible ``inf`` entries), initial free clocks, and fault-segment
 ``limit``/next-down constraints through :func:`dispatch_segment` and
 checks the result bit for bit against the pure-Python exact reference
-loop (:func:`repro.sim._native._reference_dispatch` — the same mirror
-the native build self-checks against).  Both the NumPy
-speculate-and-verify path and, when a compiler is present, the native
-k-wide kernel must reproduce the reference's accepted prefix, rows,
-and final free clocks exactly.
+loop (:func:`repro.sim.dispatch_batch._reference_dispatch` — the same
+mirror the native build self-checks against): the kernel must
+reproduce the reference's accepted prefix, rows, and final free clocks
+exactly.
 """
 
 import math
@@ -20,7 +19,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.sim import dispatch_batch  # noqa: E402
-from repro.sim._native import _reference_dispatch  # noqa: E402
+from repro.sim.dispatch_batch import _reference_dispatch  # noqa: E402
+
+from .harness import NO_KERNEL  # noqa: E402
+
+pytestmark = pytest.mark.skipif(
+    not dispatch_batch.native_available(), reason=NO_KERNEL
+)
 
 _FLOATS = st.floats(min_value=1e-4, max_value=2e-2, allow_nan=False)
 
@@ -74,14 +79,13 @@ def segment_cases(draw):
     return services, times, class_ids, free, limit, next_downs
 
 
-def _segment_rows(segments):
-    rows = []
-    for base, accs, starts, fins in segments:
-        for off, (acc, start, fin) in enumerate(
+def _rows(accs, starts, fins):
+    return [
+        (pos, int(acc), repr(start), repr(fin))
+        for pos, (acc, start, fin) in enumerate(
             zip(accs.tolist(), starts.tolist(), fins.tolist())
-        ):
-            rows.append((base + off, int(acc), repr(start), repr(fin)))
-    return rows
+        )
+    ]
 
 
 @settings(max_examples=120, deadline=None)
@@ -102,28 +106,12 @@ def test_kwide_rounds_match_scalar_reference(case):
         for pos, (acc, start, fin) in enumerate(expect)
     ]
 
-    saved = dispatch_batch._native_dispatch
-    dispatch_batch._native_dispatch = None
-    try:
-        free_py = list(free)
-        accepted, segments = dispatch_batch.dispatch_segment(
-            times, class_ids, services, free_py, limit, next_downs
-        )
-    finally:
-        dispatch_batch._native_dispatch = saved
+    free_native = list(free)
+    accepted, accs, starts, fins = dispatch_batch.dispatch_segment(
+        times, class_ids, services, free_native, limit, next_downs
+    )
     assert accepted == len(expect)
-    assert _segment_rows(segments) == expect_rows
-    assert [repr(value) for value in free_py] == [
+    assert _rows(accs, starts, fins) == expect_rows
+    assert [repr(value) for value in free_native] == [
         repr(value) for value in ref_state
     ]
-
-    if saved is not None:
-        free_native = list(free)
-        accepted_native, segments_native = dispatch_batch.dispatch_segment(
-            times, class_ids, services, free_native, limit, next_downs
-        )
-        assert accepted_native == len(expect)
-        assert _segment_rows(segments_native) == expect_rows
-        assert [repr(value) for value in free_native] == [
-            repr(value) for value in ref_state
-        ]

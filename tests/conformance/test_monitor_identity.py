@@ -3,7 +3,7 @@
 Two contracts from the windowed-telemetry layer:
 
 * attaching a :class:`~repro.obs.windows.ServingMonitor` to any engine
-  (scan/table/heap/vectorized), with or without a fault schedule, leaves
+  (scan/table/vectorized), with or without a fault schedule, leaves
   the dispatch decisions byte-identical to the monitor-off run — the
   monitor only reads chunks after every decision in them is final;
 * a sharded fleet's merged window series (per-shard monitors folded in
@@ -31,10 +31,17 @@ from repro.sim.streaming import (
 )
 from repro.workloads.gemm import GemmShape
 
-from .harness import SHAPES, dispatch_rows, make_partition, shed_rows
+from .harness import (
+    SHAPES,
+    VECTORIZED,
+    dispatch_rows,
+    fast_engines,
+    make_partition,
+    shed_rows,
+)
 
 WIDTHS = [1, 2, 3, 7]
-ENGINES = ("scan", "table", "heap", "vectorized")
+ENGINES = ("scan", "table", VECTORIZED)
 
 REAL_SHAPES = (
     GemmShape(1024, 1024, 1024),
@@ -111,7 +118,7 @@ class TestMonitorDispatchIdentity:
         assert monitor.requests.total() == len(baseline.completed)
         assert monitor.sheds.total() == len(baseline.shed)
 
-    @pytest.mark.parametrize("engine", ("table", "heap", "vectorized"))
+    @pytest.mark.parametrize("engine", ("table", VECTORIZED))
     def test_streaming_summary_unchanged(self, engine):
         partition = make_partition(3)
         trace = _trace()
@@ -129,7 +136,7 @@ class TestMonitorDispatchIdentity:
         partition = make_partition(3)
         trace = _trace()
         states = {}
-        for engine in ENGINES:
+        for engine in ("scan",) + fast_engines():
             monitor = ServingMonitor(_window_width(trace))
             ServingSimulator(partition).run(
                 trace, dispatch=engine, monitor=monitor

@@ -1,31 +1,36 @@
-"""Conformance for the vectorized fault-free dispatch engine.
+"""Conformance for the vectorized (native k-wide kernel) engine.
 
 The parametrized width tests in ``test_dispatch_identity`` already run
 the vectorized engine through :func:`harness.assert_engines_identical`;
-this module covers the engine's own seams: chunk-boundary stress, the
-native-vs-NumPy split (the C exact loop and the speculate-and-verify
-fallback must be the *same scheduler*), and the fault-segment cut
-conditions at ``limit`` / next-down boundaries.
+this module covers the engine's own seams: chunk-boundary stress, what
+happens without the kernel (``auto`` runs ``table``, an explicit
+``vectorized`` raises), NaN service times, and the native build's
+failure reporting.
 """
 
-import math
+import logging
 import os
+import shutil
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
-from repro.sim import dispatch_batch
-from repro.sim.chaos import FaultPolicy, FaultSchedule
+from repro.sim import _native, dispatch_batch
+from repro.sim.chaos import FaultSchedule
 from repro.sim.serving import ServingSimulator, generate_trace
-from repro.sim.streaming import generate_trace_soa
 
 from .harness import (
+    NO_KERNEL,
     SHAPES,
-    assert_engines_identical,
+    VECTORIZED,
+    StubPartition,
     dispatch_rows,
     make_partition,
+)
+
+needs_kernel = pytest.mark.skipif(
+    not dispatch_batch.native_available(), reason=NO_KERNEL
 )
 
 
@@ -35,11 +40,11 @@ def _trace(num_requests=300, mean_interarrival=1e-3, seed=19):
 
 @pytest.fixture
 def no_native(monkeypatch):
-    """Force the pure-NumPy speculative paths inside this process."""
+    """Run this process as if the kernel had not compiled."""
     monkeypatch.setattr(dispatch_batch, "_native_dispatch", None)
-    monkeypatch.setattr(dispatch_batch, "_native_walk", None)
 
 
+@needs_kernel
 @pytest.mark.parametrize("width", [1, 2, 8])
 @pytest.mark.parametrize("chunk_size", [7, 64, 65536])
 def test_small_chunk_identity(width, chunk_size):
@@ -62,94 +67,34 @@ def test_small_chunk_identity(width, chunk_size):
     assert stream_vec.as_dict() == stream_base.as_dict()
 
 
-@pytest.mark.parametrize("width", [1, 2, 3, 5, 8])
-def test_numpy_fallback_identical(no_native, width):
-    """The speculative NumPy engine must match scan without the C loop."""
-    assert_engines_identical(_trace(), make_partition(width))
-    assert_engines_identical(
-        _trace(),
-        make_partition(width),
-        faults=FaultSchedule.down("acc0", 0.02, 0.06),
-        policy=FaultPolicy(max_retries=2),
-    )
-
-
-def _wide_services(width: int) -> np.ndarray:
-    """A ``(width, 3)`` service matrix with varied rows and, above two
-    lanes, a sprinkling of ``inf`` (infeasible) entries."""
-    services = np.empty((width, 3), dtype=np.float64)
-    for index in range(width):
-        for position in range(3):
-            services[index, position] = 0.001 * (
-                1 + ((index + 1) * (position + 3)) % 7
-            )
-    if width > 2:
-        for index in range(0, width, 3):
-            services[index, 1] = math.inf
-    return services
-
-
-@pytest.mark.parametrize("width", [2, 3, 5, 8])
-def test_native_and_fallback_agree(width):
-    """C exact loop vs speculate-and-verify on the same segment.
-
-    Runs the k-wide kernel against the NumPy rounds at widths crossing
-    the old two-accelerator native cap, including service matrices with
-    infeasible (``inf``) entries: accepted counts, per-request rows,
-    and the final free clocks must all be bit-equal.
-    """
-    if dispatch_batch._native_dispatch is None:
-        pytest.skip("no C compiler available")
-    soa = generate_trace_soa(SHAPES, 4000, 4e-4, seed=5)
-    services = _wide_services(width)
-    for limit, next_downs in [
-        (math.inf, (math.inf,) * width),
-        (float(soa.arrivals[2500]), (math.inf,) * width),
-        (math.inf, (float(soa.arrivals[1200]) + 0.5,) + (math.inf,) * (width - 1)),
-        (
-            float(soa.arrivals[3000]),
-            tuple(0.9 + 0.1 * order for order in range(width)),
-        ),
-    ]:
-        free_native = [0.0] * width
-        accepted_native, segs_native = dispatch_batch.dispatch_segment(
-            soa.arrivals, soa.shape_ids, services, free_native, limit, next_downs
-        )
-        saved = dispatch_batch._native_dispatch
-        dispatch_batch._native_dispatch = None
-        try:
-            free_py = [0.0] * width
-            accepted_py, segs_py = dispatch_batch.dispatch_segment(
-                soa.arrivals, soa.shape_ids, services, free_py, limit, next_downs
-            )
-        finally:
-            dispatch_batch._native_dispatch = saved
-
-        def flat(segs):
-            rows = []
-            for base, accs, starts, fins in segs:
-                for off, (acc, start, fin) in enumerate(
-                    zip(accs.tolist(), starts.tolist(), fins.tolist())
-                ):
-                    rows.append((base + off, int(acc), repr(start), repr(fin)))
-            return rows
-
-        assert accepted_native == accepted_py
-        assert flat(segs_native) == flat(segs_py)
-        assert [repr(f) for f in free_native] == [repr(f) for f in free_py]
-
-
 def test_repro_no_native_env_forces_fallback():
-    """``REPRO_NO_NATIVE=1`` must disable the C kernels at import."""
+    """``REPRO_NO_NATIVE=1`` disables the kernel at import: ``auto``
+    runs the table engine and an explicit ``vectorized`` names the
+    variable in its error."""
     env = dict(os.environ, REPRO_NO_NATIVE="1")
     src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
     env["PYTHONPATH"] = os.path.abspath(src)
     code = (
-        "from repro.sim._native import NATIVE_AVAILABLE, theta_walk, dispatch_exact\n"
-        "assert theta_walk is None and dispatch_exact is None\n"
-        "assert NATIVE_AVAILABLE is False\n"
+        "from repro.sim._native import NATIVE_AVAILABLE, dispatch_exact\n"
+        "assert dispatch_exact is None and NATIVE_AVAILABLE is False\n"
         "from repro.sim.dispatch_batch import native_available\n"
         "assert native_available() is False\n"
+        "from repro.sim.serving import ServingSimulator, generate_trace\n"
+        "from repro.workloads.gemm import GemmShape\n"
+        "class Stub:\n"
+        "    designs = {'a': None, 'b': None}\n"
+        "    def estimate_on(self, name, shape):\n"
+        "        return 0.002 if name == 'a' else 0.003\n"
+        "trace = generate_trace([GemmShape(64, 64, 64)], 200, 1e-3, seed=1)\n"
+        "sim = ServingSimulator(Stub())\n"
+        "rows = lambda r: [(c.accelerator, c.start, c.finish) for c in r.completed]\n"
+        "assert rows(sim.run(trace)) == rows(sim.run(trace, dispatch='table'))\n"
+        "try:\n"
+        "    sim.run(trace, dispatch='vectorized')\n"
+        "except ValueError as exc:\n"
+        "    assert 'REPRO_NO_NATIVE' in str(exc), exc\n"
+        "else:\n"
+        "    raise AssertionError('explicit vectorized ran without the kernel')\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
 
@@ -160,10 +105,9 @@ def test_native_available_tracks_monkeypatch(no_native):
     assert dispatch_batch.native_available() is False
 
 
+@needs_kernel
 def test_nan_service_raises_for_explicit_vectorized():
     """A NaN service entry must fail loudly, naming the culprit."""
-    from .harness import StubPartition
-
     partition = StubPartition(
         {
             "good": {shape: 0.002 for shape in SHAPES},
@@ -189,6 +133,7 @@ def test_nan_service_raises_for_explicit_vectorized():
         )
 
 
+@needs_kernel
 @pytest.mark.parametrize("width", [3, 8])
 def test_explicit_vectorized_legal_at_any_width(width):
     """``dispatch="vectorized"`` no longer silently falls back on wide
@@ -200,15 +145,77 @@ def test_explicit_vectorized_legal_at_any_width(width):
     assert dispatch_rows(vec) == dispatch_rows(base)
 
 
-def test_walk_fallback_matches_native():
-    if dispatch_batch._native_walk is None:
-        pytest.skip("no C compiler available")
-    rng = np.random.default_rng(21)
-    u = np.cumsum(rng.uniform(0.0, 2e-3, 5000)) - rng.uniform(0.0, 1e-3, 5000)
-    v = rng.uniform(1e-4, 3e-3, 5000)
-    for theta in (-1e-3, 0.0, 2e-3):
-        native = dispatch_batch._native_walk(u, v, theta)
-        picks = np.zeros(u.size, dtype=bool)
-        enders = dispatch_batch._theta_walk(u.tolist(), v.tolist(), theta)
-        picks[enders] = True
-        assert np.array_equal(native, picks)
+@pytest.mark.parametrize("dispatch", ["auto", "table", VECTORIZED])
+@pytest.mark.parametrize("faulted", [False, True])
+def test_nan_service_raises_on_every_fast_engine(dispatch, faulted):
+    """One NaN service on the first lane of a 3-wide partition: the
+    table loop would let it win every comparison while the scan never
+    picks it, so every fast engine must refuse the run instead."""
+    broken = {shape: 0.002 for shape in SHAPES}
+    broken[SHAPES[1]] = float("nan")
+    partition = StubPartition(
+        {
+            "broken": broken,
+            "b": {shape: 0.003 for shape in SHAPES},
+            "c": {shape: 0.004 for shape in SHAPES},
+        }
+    )
+    trace = generate_trace(SHAPES, 2000, 1e-3, seed=3)
+    faults = FaultSchedule.down("c", 0.5, 0.6) if faulted else None
+    with pytest.raises(ValueError, match=f"dispatch='{dispatch}'.*'broken'.*NaN"):
+        ServingSimulator(partition).run(trace, dispatch=dispatch, faults=faults)
+
+
+@pytest.mark.parametrize("faulted", [False, True])
+def test_explicit_vectorized_without_kernel_raises(no_native, faulted):
+    """No silent fallback: ``vectorized`` without the kernel is an
+    error, while ``auto`` runs the table engine."""
+    partition = make_partition(3)
+    trace = _trace()
+    faults = FaultSchedule.down("acc0", 0.02, 0.06) if faulted else None
+    with pytest.raises(ValueError, match="native k-wide dispatch kernel"):
+        ServingSimulator(partition).run(
+            trace, dispatch="vectorized", faults=faults
+        )
+    auto = ServingSimulator(partition).run(trace, faults=faults)
+    table = ServingSimulator(partition).run(trace, dispatch="table", faults=faults)
+    assert dispatch_rows(auto) == dispatch_rows(table)
+
+
+_COMPILERS = [name for name in ("cc", "gcc", "clang") if shutil.which(name)]
+
+
+@pytest.mark.skipif(not _COMPILERS, reason="no C compiler on this host")
+def test_native_build_reports_compile_errors(monkeypatch, caplog):
+    """A source that does not compile yields no kernel and a logged
+    reason carrying the compiler's own error text."""
+    monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
+    monkeypatch.setattr(_native, "_SOURCE", "this is not C;\n")
+    with caplog.at_level(logging.WARNING, logger="repro.sim.native"):
+        kernel, reason = _native._build()
+    assert kernel is None
+    assert reason.startswith("compile failed: ")
+    assert "error" in reason
+    assert reason in caplog.text
+    assert "uses the table engine" in caplog.text
+
+
+@pytest.mark.skipif(not _COMPILERS, reason="no C compiler on this host")
+def test_native_build_reports_self_check_mismatch(monkeypatch, caplog):
+    monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
+    monkeypatch.setattr(_native, "_reference_dispatch", lambda *args: [])
+    with caplog.at_level(logging.WARNING, logger="repro.sim.native"):
+        kernel, reason = _native._build()
+    assert kernel is None
+    assert reason.startswith("self-check mismatch")
+    assert reason in caplog.text
+
+
+def test_native_build_without_compiler(monkeypatch, caplog):
+    monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
+    monkeypatch.setattr(_native.shutil, "which", lambda name: None)
+    with caplog.at_level(logging.WARNING, logger="repro.sim.native"):
+        kernel, reason = _native._build()
+    assert kernel is None
+    assert reason == "no C compiler found (tried cc, gcc, clang)"
+    assert reason in caplog.text

@@ -7,6 +7,7 @@ from repro.core.multi_acc import AcceleratorPartition
 from repro.mapping.configs import config_by_name
 from repro.perf.metrics import GLOBAL_STATS
 from repro.sim.chaos import FaultError, FaultPolicy, FaultSchedule
+from repro.sim.dispatch_batch import native_available
 from repro.sim.serving import (
     Request,
     ServingReport,
@@ -17,13 +18,17 @@ from repro.sim.serving import (
 from repro.sim.streaming import generate_trace_soa
 from repro.workloads.gemm import GemmShape
 
+#: the engines besides the scan; ``vectorized`` needs the native kernel
+#: (without it ``auto`` runs ``table``)
+FAST_ENGINES = ("table", "auto") + (("vectorized",) if native_available() else ())
+
 SHAPES = [GemmShape(1024, 1024, 1024), GemmShape(512, 2048, 512)]
 
 
 class FakePartition:
     """A stub partition: hand-authored service times, ValueError = infeasible.
 
-    Lets the dispatch tests cover wide partitions (heap territory) and
+    Lets the dispatch tests cover wide partitions and
     infeasible (accelerator, shape) pairs, which the paper's real C5/C3
     partitions never produce for reasonable shapes.
     """
@@ -41,7 +46,7 @@ class FakePartition:
 
 
 def _wide_fake_partition(num_accelerators=9):
-    """A 9-wide partition (heap dispatch territory) with one shape
+    """A 9-wide partition with one shape
     infeasible on some accelerators and varied service times."""
     services = {}
     for index in range(num_accelerators):
@@ -144,12 +149,11 @@ class TestDispatchEngines:
     """All engines must make byte-identical decisions (same accelerator,
     same float start/finish) — the tentpole's core contract."""
 
-    def test_table_and_heap_match_scan(self, simulator):
+    def test_fast_engines_match_scan(self, simulator):
         trace = generate_trace(SHAPES, 400, 0.3e-3, seed=5)
         expected = _decisions(simulator.run(trace, dispatch="scan"))
-        assert _decisions(simulator.run(trace, dispatch="table")) == expected
-        assert _decisions(simulator.run(trace, dispatch="heap")) == expected
-        assert _decisions(simulator.run(trace, dispatch="auto")) == expected
+        for engine in FAST_ENGINES:
+            assert _decisions(simulator.run(trace, dispatch=engine)) == expected
 
     def test_soa_trace_matches_list_trace(self, simulator):
         scalar = generate_trace(SHAPES, 300, 1e-3, seed=9)
@@ -163,18 +167,16 @@ class TestDispatchEngines:
         simulator = ServingSimulator(fake)
         trace = generate_trace(SHAPES, 500, 0.5e-3, seed=3)
         expected = _decisions(simulator.run(trace, dispatch="scan"))
-        assert _decisions(simulator.run(trace, dispatch="table")) == expected
-        assert _decisions(simulator.run(trace, dispatch="heap")) == expected
-        # 9 accelerators: auto routes through the heap
-        assert _decisions(simulator.run(trace, dispatch="auto")) == expected
+        for engine in FAST_ENGINES:
+            assert _decisions(simulator.run(trace, dispatch=engine)) == expected
 
     def test_single_accelerator_partition(self):
         fake = FakePartition({"only": {SHAPES[0]: 0.002, SHAPES[1]: 0.003}})
         simulator = ServingSimulator(fake)
         trace = generate_trace(SHAPES, 120, 1e-3, seed=1)
         expected = _decisions(simulator.run(trace, dispatch="scan"))
-        assert _decisions(simulator.run(trace, dispatch="table")) == expected
-        assert _decisions(simulator.run(trace, dispatch="heap")) == expected
+        for engine in FAST_ENGINES:
+            assert _decisions(simulator.run(trace, dispatch=engine)) == expected
 
     def test_small_chunks_do_not_change_decisions(self, simulator):
         trace = generate_trace(SHAPES, 150, 1e-3, seed=2)

@@ -3,6 +3,11 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.sim.dispatch_batch import native_available
+
+#: ``--dispatch vectorized`` needs the native kernel (``auto`` runs
+#: ``table`` without it)
+_VECTORIZED = ("vectorized",) if native_available() else ()
 
 
 class TestParser:
@@ -136,11 +141,19 @@ class TestServe:
     def test_dispatch_pinning(self, capsys):
         base = ["serve", self.SHAPES, "--requests", "150", "--seed", "3"]
         outputs = []
-        for engine in ("scan", "table", "heap", "vectorized"):
+        for engine in ("scan", "table", "auto") + _VECTORIZED:
             assert main(base + ["--dispatch", engine]) == 0
             outputs.append(capsys.readouterr().out)
         # byte-identical dispatch => byte-identical summaries
         assert len(set(outputs)) == 1
+
+    def test_vectorized_without_kernel_is_a_usage_error(self, capsys, monkeypatch):
+        from repro.sim import dispatch_batch
+
+        monkeypatch.setattr(dispatch_batch, "_native_dispatch", None)
+        argv = ["serve", self.SHAPES, "--requests", "50", "--dispatch", "vectorized"]
+        assert main(argv) == 2
+        assert "native k-wide dispatch kernel" in capsys.readouterr().err
 
     def test_cache_dir_warm_starts_second_invocation(self, capsys, tmp_path):
         from repro.perf import clear_cache
@@ -191,7 +204,6 @@ class TestServe:
 
     def test_stats_reports_native_kernel_flag(self, capsys):
         from repro.obs.metrics import GLOBAL_METRICS
-        from repro.sim.dispatch_batch import native_available
 
         argv = ["--stats", "serve", self.SHAPES, "--requests", "150"]
         assert main(argv) == 0
@@ -236,14 +248,14 @@ class TestServeFaults:
 
     def test_faulted_dispatch_engines_byte_identical(self, capsys):
         outputs = []
-        for engine in ("scan", "table", "heap"):
+        for engine in ("scan", "table", "auto") + _VECTORIZED:
             argv = self.BASE + [
                 "--faults", "C5:down:0.005:0.02,C3:slow:2.5:0.0:0.05",
                 "--dispatch", engine,
             ]
             assert main(argv) == 0
             outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert len(set(outputs)) == 1
 
     def test_device_degraded_window_runs(self, capsys):
         argv = self.BASE + ["--faults", "C5:cols:1:0.0:0.05"]
