@@ -9,8 +9,9 @@ scan's decisions bit for bit at any partition width:
 * :func:`dispatch_vectorized` — a fault-free trace, flushed in exact
   ``chunk_size`` blocks, the same boundaries the scalar engines flush
   at, so streaming summaries stay bit-identical;
-* :func:`dispatch_segment` — one clean fault segment, cut where the
-  scalar fault loop must take over.
+* :func:`dispatch_segment` — one fault segment (the stretch between
+  two schedule transitions, clean or degraded), cut where the scalar
+  fault loop must take over.
 
 Both need the kernel.  Without it (:func:`native_available` is False)
 ``dispatch="auto"`` runs the portable ``table`` engine and an explicit
@@ -56,19 +57,29 @@ def dispatch_vectorized(arrivals, class_ids, services, free, flush, chunk_size):
     block is one kernel call followed by ``flush(base, accs, starts,
     fins)`` with NumPy arrays.
     """
-    for lo in range(0, int(arrivals.size), chunk_size):
+    n = int(arrivals.size)
+    for lo in range(0, n, chunk_size):
         hi = lo + chunk_size
-        _, accs, starts, fins = _native_dispatch(
+        accepted, accs, starts, fins = _native_dispatch(
             arrivals[lo:hi], class_ids[lo:hi], services, free, math.inf
         )
+        size = min(hi, n) - lo
+        if accepted < size:
+            # only an infinite finish can stop an unbounded chunk; the
+            # service specs reject those, so this is a broken invariant
+            raise RuntimeError(
+                f"dispatch kernel accepted {accepted} of {size} requests "
+                f"in the chunk at {lo} (infinite service time?)"
+            )
         flush(lo, accs, starts, fins)
 
 
 def dispatch_segment(times, class_ids, services, free, limit, next_downs):
-    """Dispatch one clean fault segment (no window active, all times
-    below ``limit``); used by the fault loop between transitions.
+    """Dispatch one fault segment (all times below ``limit``, the next
+    transition); used by the fault loop between transitions.
 
-    ``next_downs[order]`` is the first down-window start after the
+    ``services`` is the segment's window state as a service matrix
+    (``inf`` for down or unresolvable lanes).  ``next_downs[order]`` is the first down-window start after the
     segment opens (``inf`` when none): any admission whose start would
     reach ``limit`` or whose finish would cross its accelerator's next
     down window is left to the scalar fault loop, which owns the kill

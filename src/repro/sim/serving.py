@@ -68,7 +68,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Sequence, Union
 
@@ -91,6 +91,7 @@ from repro.sim.dispatch_batch import (
     require_native,
 )
 from repro.sim.streaming import (
+    FaultAccounting,
     SoATrace,
     StreamingServingReport,
     derive_seed,
@@ -149,24 +150,22 @@ class CompletedRequest:
         return self.start - self.request.arrival
 
 
-def _feed_monitor_completed(
+def _feed_monitor(
     monitor: "ServingMonitor",
-    completed: Sequence["CompletedRequest"],
+    arrivals: np.ndarray,
+    starts: np.ndarray,
+    finishes: np.ndarray,
     chunk_size: int,
 ) -> None:
-    """Feed already-materialized completions to a monitor.
+    """Feed final outcomes to a monitor in arrival-ordered blocks.
 
     Used by engines without a flush hook (scan, the fault loop): the
-    arrival-ordered ``chunk_size`` blocks match the boundaries the fast
-    engines flush at, so the folded series are chunk-for-chunk the same.
+    ``chunk_size`` blocks match the boundaries the fast engines flush
+    at, so the folded series are chunk-for-chunk the same.
     """
-    for lo in range(0, len(completed), chunk_size):
-        batch = completed[lo : lo + chunk_size]
-        monitor.observe_chunk(
-            np.asarray([entry.request.arrival for entry in batch]),
-            np.asarray([entry.start for entry in batch]),
-            np.asarray([entry.finish for entry in batch]),
-        )
+    for lo in range(0, len(arrivals), chunk_size):
+        hi = lo + chunk_size
+        monitor.observe_chunk(arrivals[lo:hi], starts[lo:hi], finishes[lo:hi])
 
 
 @dataclass(frozen=True)
@@ -181,80 +180,220 @@ class ShedRequest:
     time: float
 
 
-@dataclass
-class ServingReport:
-    completed: list[CompletedRequest]
-    #: requests dropped under the fault policy (empty on fault-free runs)
-    shed: list[ShedRequest] = field(default_factory=list)
-    #: fault onset/clearance records, ordered by time
-    fault_events: list = field(default_factory=list)
-    #: per-accelerator seconds spent down within the makespan
-    downtime: dict[str, float] = field(default_factory=dict)
-    #: executions killed mid-flight by a down window
-    kills: int = 0
-    #: attempts deferred because no accelerator was usable
-    requeues: int = 0
-    #: chaos-loop decision log, ``(time, kind, request_id, retries)`` with
-    #: kind in {"kill", "requeue"}, time-ordered — the trace exporter
-    #: renders these as instant markers (sheds carry their own records)
-    fault_timeline: list = field(default_factory=list)
+#: rows per block when the lazy ``completed`` objects are built, so the
+#: temporaries of one block's ``tolist`` conversions stay small
+_ROW_BLOCK = 65536
+
+
+class ServingReport(FaultAccounting):
+    """Exact serving report: every completed request, held as arrays.
+
+    The engines fill one structure of arrays in arrival order: the
+    completed requests' arrival-order positions in the trace, their
+    arrival, accelerator index, start, finish and retry columns, the
+    shed and kill/requeue records, and a reference to the served trace.
+    Every reader — makespan, percentiles, mean latency, loads, retries,
+    fault accounting, throughput — works on the arrays; the
+    per-request :attr:`completed`, :attr:`shed` and
+    :attr:`fault_timeline` objects are built on first access only.
+
+    ``ServingReport(completed=[...], shed=[...])`` builds the same
+    arrays from request objects (and keeps the given objects as its
+    rows).
+    """
+
+    def __init__(
+        self,
+        completed: Sequence[CompletedRequest] = (),
+        shed: Sequence[ShedRequest] = (),
+        fault_events: Sequence = (),
+        downtime: dict[str, float] | None = None,
+        kills: int = 0,
+        requeues: int = 0,
+        fault_timeline: Sequence = (),
+    ):
+        completed = list(completed)
+        shed = list(shed)
+        names = list(dict.fromkeys(c.accelerator for c in completed))
+        index = {name: order for order, name in enumerate(names)}
+        converted = ServingReport.from_arrays(
+            [c.request for c in completed] + [s.request for s in shed],
+            names,
+            np.arange(len(completed)),
+            np.asarray([c.request.arrival for c in completed], dtype=np.float64),
+            np.asarray([index[c.accelerator] for c in completed], dtype=np.int64),
+            np.asarray([c.start for c in completed], dtype=np.float64),
+            np.asarray([c.finish for c in completed], dtype=np.float64),
+            np.asarray([c.retries for c in completed], dtype=np.int64),
+            shed_records=[
+                (len(completed) + offset, s.retries, s.reason, s.time)
+                for offset, s in enumerate(shed)
+            ],
+            fault_events=fault_events,
+            downtime=downtime,
+            kills=kills,
+            requeues=requeues,
+        )
+        self.__dict__.update(converted.__dict__)
+        # the given objects are the report's rows
+        self.__dict__.update(
+            completed=completed, shed=shed, fault_timeline=list(fault_timeline)
+        )
+
+    @classmethod
+    def from_arrays(
+        cls,
+        source: Union[Sequence[Request], SoATrace],
+        names: Sequence[str],
+        positions: np.ndarray,
+        arrivals: np.ndarray,
+        accelerators: np.ndarray,
+        starts: np.ndarray,
+        finishes: np.ndarray,
+        retries: np.ndarray | None = None,
+        *,
+        shed_records: Sequence[tuple[int, int, str, float]] = (),
+        timeline: Sequence[tuple[float, str, int, int]] = (),
+        fault_events: Sequence = (),
+        downtime: dict[str, float] | None = None,
+        kills: int = 0,
+        requeues: int = 0,
+    ) -> "ServingReport":
+        """The report an engine fills.
+
+        Row ``i`` is the request at arrival-order ``positions[i]`` of
+        ``source`` (an ``SoATrace`` or the arrival-sorted ``Request``
+        list), arriving at ``arrivals[i]`` and served on
+        ``names[accelerators[i]]``.  ``shed_records`` are
+        position-ordered ``(position, retries, reason, time)`` and
+        ``timeline`` the ``(time, kind, position, retries)`` decision
+        log.
+        """
+        report = cls.__new__(cls)
+        report._source = source
+        report.accelerator_names = list(names)
+        report._positions = positions
+        report._arrivals = arrivals
+        report._accelerators = accelerators
+        report._starts = starts
+        report._finishes = finishes
+        report._retries = (
+            np.zeros(len(positions), dtype=np.int64) if retries is None else retries
+        )
+        report._shed_records = list(shed_records)
+        report._timeline = list(timeline)
+        #: fault onset/clearance records, ordered by time
+        report.fault_events = list(fault_events)
+        #: per-accelerator seconds spent down within the makespan
+        report.downtime = dict(downtime or {})
+        #: executions killed mid-flight by a down window
+        report.kills = kills
+        #: attempts deferred because no accelerator was usable
+        report.requeues = requeues
+        return report
+
+    def _requests_at(self, positions) -> list[Request]:
+        """The ``Request`` objects at arrival-order ``positions``."""
+        positions = np.asarray(positions, dtype=np.int64)
+        source = self._source
+        if isinstance(source, SoATrace):
+            shapes = source.shapes
+            return list(
+                map(
+                    Request,
+                    positions.tolist(),
+                    [shapes[sid] for sid in source.shape_ids[positions].tolist()],
+                    source.arrivals[positions].tolist(),
+                )
+            )
+        return [source[pos] for pos in positions.tolist()]
+
+    # -- per-request objects (built on first access) --------------------
+    @cached_property
+    def completed(self) -> list[CompletedRequest]:
+        """One :class:`CompletedRequest` per completed request, in
+        arrival order."""
+        names = self.accelerator_names
+        rows: list[CompletedRequest] = []
+        for lo in range(0, self.count, _ROW_BLOCK):
+            hi = lo + _ROW_BLOCK
+            rows.extend(
+                map(
+                    CompletedRequest,
+                    self._requests_at(self._positions[lo:hi]),
+                    [names[order] for order in self._accelerators[lo:hi].tolist()],
+                    self._starts[lo:hi].tolist(),
+                    self._finishes[lo:hi].tolist(),
+                    self._retries[lo:hi].tolist(),
+                )
+            )
+        return rows
+
+    @cached_property
+    def shed(self) -> list[ShedRequest]:
+        """Requests dropped under the fault policy (empty on fault-free
+        runs), in arrival order."""
+        records = self._shed_records
+        requests = self._requests_at([record[0] for record in records])
+        return [
+            ShedRequest(request, retries, reason, when)
+            for request, (_, retries, reason, when) in zip(requests, records)
+        ]
+
+    @cached_property
+    def fault_timeline(self) -> list[tuple[float, str, int, int]]:
+        """Chaos-loop decision log, ``(time, kind, request_id, retries)``
+        with kind in {"kill", "requeue"}, time-ordered — the trace
+        exporter renders these as instant markers (sheds carry their own
+        records)."""
+        requests = self._requests_at([entry[2] for entry in self._timeline])
+        return sorted(
+            (when, kind, request.request_id, retries)
+            for (when, kind, _, retries), request in zip(self._timeline, requests)
+        )
+
+    # -- array readers ---------------------------------------------------
+    @property
+    def count(self) -> int:
+        """Completed requests."""
+        return len(self._positions)
 
     @property
     def makespan(self) -> float:
-        return max((c.finish for c in self.completed), default=0.0)
+        return float(self._finishes.max()) if self.count else 0.0
+
+    def _availability_horizon(self) -> float:
+        return self.makespan
 
     @property
     def shed_count(self) -> int:
-        return len(self.shed)
+        return len(self._shed_records)
 
     @property
     def total_retries(self) -> int:
-        return sum(c.retries for c in self.completed) + sum(
-            s.retries for s in self.shed
+        return int(self._retries.sum()) + sum(
+            record[1] for record in self._shed_records
         )
-
-    def availability(self) -> dict[str, float]:
-        """Per-accelerator up-fraction of the makespan, in ``[0, 1]``."""
-        horizon = self.makespan
-        if horizon <= 0:
-            return {name: 1.0 for name in self.downtime}
-        return {
-            name: min(1.0, max(0.0, 1.0 - down / horizon))
-            for name, down in self.downtime.items()
-        }
-
-    @property
-    def request_availability(self) -> float:
-        """Completed / offered requests (1.0 when nothing was offered)."""
-        total = len(self.completed) + len(self.shed)
-        if total == 0:
-            return 1.0
-        return len(self.completed) / total
-
-    def fault_summary(self) -> dict:
-        """The fault-accounting block the CLI and experiments print."""
-        return {
-            "completed": len(self.completed),
-            "shed": self.shed_count,
-            "kills": self.kills,
-            "retries": self.total_retries,
-            "requeues": self.requeues,
-            "fault_events": len(self.fault_events),
-            "request_availability": self.request_availability,
-            "availability": self.availability(),
-        }
 
     @property
     def throughput_rps(self) -> float:
         if self.makespan == 0:
             return 0.0
-        return len(self.completed) / self.makespan
+        return self.count / self.makespan
+
+    def latencies(self) -> np.ndarray:
+        """Per-request latency (finish - arrival), in arrival order."""
+        return self._finishes - self._arrivals
+
+    def queueing_delays(self) -> np.ndarray:
+        """Per-request queueing delay (start - arrival), in arrival order."""
+        return self._starts - self._arrivals
 
     @cached_property
-    def _sorted_latencies(self) -> list[float]:
-        # `completed` is effectively frozen after construction, so the
-        # sort is cached instead of being redone on every percentile
-        return sorted(c.latency for c in self.completed)
+    def _sorted_latencies(self) -> np.ndarray:
+        # the rows are frozen after construction, so the sort is cached
+        # instead of being redone on every percentile
+        return np.sort(self.latencies())
 
     def latency_percentile(self, percentile: float) -> float:
         return self.latency_percentiles([percentile])[0]
@@ -264,25 +403,31 @@ class ServingReport:
         for percentile in percentiles:
             if not 0 < percentile <= 100:
                 raise ValueError("percentile must be in (0, 100]")
-        if not self.completed:
+        if not self.count:
             raise ValueError("no completed requests")
         latencies = self._sorted_latencies
         count = len(latencies)
         return [
-            latencies[min(count - 1, math.ceil(percentile / 100 * count) - 1)]
+            float(latencies[min(count - 1, math.ceil(percentile / 100 * count) - 1)])
             for percentile in percentiles
         ]
 
     def mean_latency(self) -> float:
-        if not self.completed:
+        if not self.count:
             raise ValueError("no completed requests")
-        return sum(c.latency for c in self.completed) / len(self.completed)
+        # the builtin left-to-right sum, not NumPy's pairwise one: the
+        # same bits as summing the per-request latencies in order
+        return sum(self.latencies().tolist()) / self.count
 
     def accelerator_load(self) -> dict[str, int]:
-        load: dict[str, int] = {}
-        for request in self.completed:
-            load[request.accelerator] = load.get(request.accelerator, 0) + 1
-        return load
+        """Completions per accelerator, in order of first appearance."""
+        accelerators = self._accelerators
+        counts = np.bincount(
+            accelerators, minlength=len(self.accelerator_names)
+        ).tolist()
+        used = [order for order, num in enumerate(counts) if num]
+        used.sort(key=lambda order: int(np.argmax(accelerators == order)))
+        return {self.accelerator_names[order]: counts[order] for order in used}
 
 
 def _lcg_uniform(seed: int, index: int) -> float:
@@ -478,13 +623,26 @@ class _FaultView:
         index = bisect.bisect_right(transitions, time)
         return transitions[index] if index < len(transitions) else None
 
+    def state_at(self, time: float) -> tuple[int | None, ...]:
+        """Every accelerator's window index at ``time`` (None = healthy);
+        constant between two consecutive transitions."""
+        return tuple(
+            self.window_index_at(order, time) for order in range(len(self.names))
+        )
+
     def service_at(self, order: int, cid: int, time: float) -> float | None:
         """Admission-time service, or None when the accelerator is
         unusable at ``time`` (down, infeasible, or degraded-invalid)."""
+        if self.base[order][cid] is None:
+            return None
+        return self.service_in(order, cid, self.window_index_at(order, time))
+
+    def service_in(self, order: int, cid: int, index: int | None) -> float | None:
+        """Service inside window ``index`` of ``order`` (None = healthy),
+        or None when the accelerator is unusable there."""
         base = self.base[order][cid]
         if base is None:
             return None
-        index = self.window_index_at(order, time)
         if index is None:
             return base
         window = self.windows[order][index]
@@ -527,13 +685,21 @@ class _FaultView:
         return value
 
 
-class _ScanFaultSelector:
-    """The seed loop under faults: scan every accelerator per attempt."""
+class _FaultSelector:
+    """One fault-aware selection step: the earliest finish over the
+    usable candidate lanes of a shape class.
 
-    def __init__(self, view: _FaultView, free: list[float], width: int):
+    ``lanes[cid]`` is the candidate accelerator orders of class ``cid``:
+    every accelerator for the scan (the seed loop under faults, which
+    scans them all per attempt), the class's feasible ones for the
+    table and vectorized engines.  Infeasible lanes are never usable,
+    so both candidate sets select the same winner.
+    """
+
+    def __init__(self, view: _FaultView, free: list[float], lanes: list[tuple]):
         self.view = view
         self.free = free
-        self.width = width
+        self.lanes = lanes
 
     def select(self, t: float, cid: int):
         view = self.view
@@ -541,7 +707,7 @@ class _ScanFaultSelector:
         best_finish = math.inf
         best_order = -1
         best_start = 0.0
-        for order in range(self.width):
+        for order in self.lanes[cid]:
             current = free[order]
             start = current if current > t else t
             service = view.service_at(order, cid, start)
@@ -555,34 +721,231 @@ class _ScanFaultSelector:
         return best_order, best_start, best_finish
 
 
-class _TableFaultSelector:
-    """Dense fault dispatch over the per-class feasible-accelerator specs."""
+def _used_classes(class_ids: np.ndarray, num_classes: int) -> list[int]:
+    """The shape classes a trace uses (bincount instead of np.unique:
+    no million-element sort)."""
+    return np.flatnonzero(np.bincount(class_ids, minlength=num_classes)).tolist()
 
-    def __init__(self, specs: list[tuple], view: _FaultView, free: list[float]):
-        self.specs = specs
+
+#: fewest arrivals worth one kernel call from the fault loop
+_MIN_SEGMENT = 64
+
+
+@dataclass
+class _FaultOutcome:
+    """What the fault loop decided, indexed by arrival-order position."""
+
+    #: accelerator order per request; -1 = not completed (shed)
+    accelerators: np.ndarray
+    starts: np.ndarray
+    finishes: np.ndarray
+    retries: np.ndarray
+    #: ``(position, retries, reason, time)``
+    shed_records: list[tuple[int, int, str, float]]
+    #: ``(time, kind, position, retries)``; None when not collected
+    timeline: list[tuple[float, str, int, int]] | None
+    #: kill instants; None when not collected
+    kill_times: list[float] | None
+    kills: int = 0
+    requeues: int = 0
+
+
+class _SegmentBatcher:
+    """Hands whole fault segments of arrivals to the native kernel.
+
+    Between two schedule transitions every accelerator's window state is
+    constant, so one ``(width, classes)`` service matrix — ``inf`` for
+    down or unresolvable lanes, the admission-time (possibly degraded)
+    service otherwise — describes every admission of the segment; it is
+    cached per distinct state.  A state in which some used class has no
+    finite lane is never batched: its requests requeue or shed, which
+    only the scalar loop does.
+    """
+
+    def __init__(self, view, used, arrivals, arrival_list, class_ids, free, outcome):
         self.view = view
+        self.used = used
+        self.arrivals = arrivals
+        self.arrival_list = arrival_list
+        self.class_ids = class_ids
         self.free = free
+        self.outcome = outcome
+        self._services: dict[tuple, np.ndarray | None] = {}
 
-    def select(self, t: float, cid: int):
+    def _services_at(self, time: float) -> np.ndarray | None:
+        state = self.view.state_at(time)
+        if state not in self._services:
+            view = self.view
+            services = np.full((len(state), len(view.classes)), np.inf)
+            for cid in self.used:
+                for order, index in enumerate(state):
+                    service = view.service_in(order, cid, index)
+                    if service is not None:
+                        services[order, cid] = service
+            dead = not np.isfinite(services[:, self.used].min(axis=0)).all()
+            self._services[state] = None if dead else services
+        return self._services[state]
+
+    def run(self, cursor: int, bound: float) -> tuple[int, float]:
+        """Dispatch the arrivals from ``cursor`` that precede both
+        ``bound`` (the earliest pending retry or requeue) and the next
+        transition.
+
+        Returns the new cursor and the time before which no further
+        segment is worth trying.  The kernel commits exactly what the
+        scalar loop would; it stops where a lane's clock reaches the
+        transition or the winner would be killed, and from there every
+        later admission of the segment would stop it too, so the scalar
+        loop finishes the segment.
+        """
         view = self.view
-        free = self.free
-        spec = self.specs[cid]
-        best_finish = math.inf
-        best_order = -1
-        best_start = 0.0
-        for offset in range(0, len(spec), 2):
-            order = spec[offset]
-            current = free[order]
-            start = current if current > t else t
-            service = view.service_at(order, cid, start)
-            if service is None:
+        opens = self.arrival_list[cursor]
+        transition = view.next_transition_after(opens)
+        limit = math.inf if transition is None else transition
+        end = min(limit, bound)
+        stop = bisect.bisect_left(self.arrival_list, end, cursor)
+        if stop - cursor < _MIN_SEGMENT:
+            return cursor, end
+        services = self._services_at(opens)
+        if services is None:
+            return cursor, limit
+        next_downs = tuple(
+            math.inf if (down := view.next_down_after(order, opens)) is None else down
+            for order in range(len(view.names))
+        )
+        accepted, accs, starts, fins = dispatch_segment(
+            self.arrivals[cursor:stop],
+            self.class_ids[cursor:stop],
+            services,
+            self.free,
+            limit,
+            next_downs,
+        )
+        outcome = self.outcome
+        done = cursor + accepted
+        outcome.accelerators[cursor:done] = accs
+        outcome.starts[cursor:done] = starts
+        outcome.finishes[cursor:done] = fins
+        if done < stop:
+            return done, limit
+        return stop, -math.inf
+
+
+def _fault_loop(
+    arrivals: np.ndarray,
+    class_ids: np.ndarray,
+    view: _FaultView,
+    select: Callable,
+    policy: FaultPolicy,
+    free: list[float],
+    *,
+    segment_classes: list[int] | None,
+    timeline: bool,
+    kill_times: bool,
+) -> _FaultOutcome:
+    """The fault-aware event loop, shared by all three engines.
+
+    Attempts are taken in ``(time, arrival position, retries)`` order:
+    a cursor walks the already-sorted arrivals, and a small heap holds
+    only the retries and requeues, so re-attempts interleave with later
+    arrivals deterministically.  ``segment_classes`` (the trace's used
+    shape classes; vectorized engine only) hands whole segments of
+    arrivals to the kernel through :class:`_SegmentBatcher`; kills,
+    backoff, requeues and shedding stay here, one code path for every
+    engine.
+    """
+    n = len(arrivals)
+    outcome = _FaultOutcome(
+        accelerators=np.full(n, -1, dtype=np.int64),
+        starts=np.empty(n),
+        finishes=np.empty(n),
+        retries=np.zeros(n, dtype=np.int64),
+        shed_records=[],
+        timeline=[] if timeline else None,
+        kill_times=[] if kill_times else None,
+    )
+    arrival_list = arrivals.tolist()
+    batcher = (
+        None
+        if segment_classes is None
+        else _SegmentBatcher(
+            view, segment_classes, arrivals, arrival_list, class_ids, free, outcome
+        )
+    )
+    cid_list = class_ids.tolist()
+    out_acc = outcome.accelerators
+    out_start = outcome.starts
+    out_fin = outcome.finishes
+    out_retries = outcome.retries
+    shed_records = outcome.shed_records
+    log = outcome.timeline
+    kill_log = outcome.kill_times
+    pending: list[tuple[float, int, int]] = []
+    push = heapq.heappush
+    pop = heapq.heappop
+    backoff = policy.backoff
+    max_retries = policy.max_retries
+    cursor = 0
+    no_batch_before = -math.inf
+    kills = 0
+    requeues = 0
+    while True:
+        if cursor < n and (
+            not pending
+            or arrival_list[cursor] < pending[0][0]
+            or (arrival_list[cursor] == pending[0][0] and cursor < pending[0][1])
+        ):
+            t = arrival_list[cursor]
+            if batcher is not None and t >= no_batch_before:
+                advanced, no_batch_before = batcher.run(
+                    cursor, pending[0][0] if pending else math.inf
+                )
+                if advanced != cursor:
+                    cursor = advanced
+                    continue
+            pos = cursor
+            retries = 0
+            cursor += 1
+        elif pending:
+            t, pos, retries = pop(pending)
+        else:
+            break
+        best = select(t, cid_list[pos])
+        if best is None:
+            nxt = view.next_transition_after(t)
+            if nxt is None:
+                shed_records.append((pos, retries, "no_feasible_accelerator", t))
                 continue
-            finish = start + service
-            if finish < best_finish:
-                best_finish, best_order, best_start = finish, order, start
-        if best_order < 0:
-            return None
-        return best_order, best_start, best_finish
+            requeues += 1
+            if log is not None:
+                log.append((nxt, "requeue", pos, retries))
+            push(pending, (nxt, pos, retries))
+            continue
+        order, start, finish = best
+        next_down = view.next_down_after(order, start)
+        if next_down is not None and next_down < finish:
+            # killed: the down window opened mid-execution
+            kills += 1
+            if kill_log is not None:
+                kill_log.append(next_down)
+            if log is not None:
+                log.append((next_down, "kill", pos, retries + 1))
+            free[order] = next_down
+            if retries + 1 > max_retries:
+                shed_records.append(
+                    (pos, retries + 1, "retry_budget_exhausted", next_down)
+                )
+                continue
+            push(pending, (next_down + backoff(retries + 1), pos, retries + 1))
+            continue
+        free[order] = finish
+        out_acc[pos] = order
+        out_start[pos] = start
+        out_fin[pos] = finish
+        out_retries[pos] = retries
+    outcome.kills = kills
+    outcome.requeues = requeues
+    return outcome
 
 
 class ServingSimulator:
@@ -757,18 +1120,19 @@ class ServingSimulator:
         ``dispatch`` selects the engine: ``auto``, ``vectorized``,
         ``table``, or ``scan`` (the seed loop, exact mode only).  The
         vectorized engine is the native k-wide kernel, legal at any
-        partition width; under a fault schedule it batches the clean
-        segments between fault transitions and leaves kills, requeues
-        and sheds to the scalar fault loop.  ``auto`` picks it whenever
-        the kernel compiled and the table engine otherwise, clean or
-        faulted; an explicit ``vectorized`` without the kernel raises
-        ``ValueError`` naming the reason.  All engines make
-        byte-identical dispatch decisions — engine choice is purely a
-        throughput knob (see the engine-selection matrix in
+        partition width; under a fault schedule it batches the segments
+        between fault transitions — clean or degraded — and leaves
+        kills, requeues and sheds to the scalar fault loop.  ``auto``
+        picks it whenever the kernel compiled and the table engine
+        otherwise, clean or faulted; an explicit ``vectorized`` without
+        the kernel raises ``ValueError`` naming the reason.  All engines
+        make byte-identical dispatch decisions — engine choice is purely
+        a throughput knob (see the engine-selection matrix in
         ``docs/performance.md``).
         ``streaming=True`` returns a :class:`StreamingServingReport`
         with O(1) memory and ``quantile_error``-bounded percentiles;
-        the default exact mode materializes every completed request.
+        the default exact mode keeps every completed request as arrays
+        (:class:`ServingReport`).
 
         ``faults`` injects a time-varying fault schedule under
         ``fault_policy`` (default :data:`~repro.sim.chaos.DEFAULT_FAULT_POLICY`)
@@ -820,10 +1184,13 @@ class ServingSimulator:
                 if dispatch == "scan":
                     report = self._run_scan(trace)
                     if monitor is not None:
-                        # scan has no flush hook; feed the monitor
-                        # post-hoc in the same arrival-ordered
-                        # chunk_size blocks the fast engines flush
-                        _feed_monitor_completed(monitor, report.completed, chunk_size)
+                        _feed_monitor(
+                            monitor,
+                            report._arrivals,
+                            report._starts,
+                            report._finishes,
+                            chunk_size,
+                        )
                     return report
                 return self._run_fast(
                     trace,
@@ -850,15 +1217,13 @@ class ServingSimulator:
         policy: FaultPolicy,
         monitor: "ServingMonitor | None" = None,
     ) -> ServingReport | StreamingServingReport:
-        """The fault-aware event loop, shared by all three engines.
+        """Serve ``trace`` through :func:`_fault_loop`.
 
-        Attempts live in a heap of ``(time, arrival position, retries)``
-        — time-ordered, position-tied — so re-attempts interleave with
-        later arrivals deterministically.  The engines differ only in
-        candidate *selection* (the vectorized engine additionally
-        batches clean segments through the kernel); the loop (kills,
-        backoff, requeues, shedding) is one code path, which is what
-        makes the engines' fault semantics identical by construction.
+        The engines differ only in candidate *selection* (the vectorized
+        engine additionally batches whole segments through the kernel);
+        the loop is one code path, which is what makes the engines'
+        fault semantics identical by construction.  The report, the
+        monitor and the fault counters all read the loop's arrays.
         """
         names = list(self.partition.designs)
         unknown = set(faults.accelerators()) - set(names)
@@ -867,235 +1232,120 @@ class ServingSimulator:
                 f"fault schedule names accelerators not in the partition: "
                 f"{sorted(unknown)} (partition has {names})"
             )
-        arrivals, class_ids, classes, requests = self._normalize(
-            trace, need_requests=not streaming
-        )
-        n = len(arrivals)
-        if streaming:
-            report = StreamingServingReport(names, quantile_error=quantile_error)
-        specs = self._class_specs(classes, set(class_ids), dispatch)
+        arrivals, class_ids, classes, source = self._normalize(trace)
+        used = _used_classes(class_ids, len(classes))
+        specs = self._class_specs(classes, set(used), dispatch)
         self.stats.cache_hits += len(class_ids)
         view = _FaultView(self, faults, names, classes, specs)
         free = [0.0] * len(names)
         if engine == "scan":
-            selector = _ScanFaultSelector(view, free, len(names))
+            lanes = [tuple(range(len(names)))] * len(specs)
         else:
-            selector = _TableFaultSelector(specs, view, free)
+            lanes = [spec[::2] for spec in specs]
+        selector = _FaultSelector(view, free, lanes)
 
-        arrival_list = arrivals.tolist()
-        queue = [(arrival_list[pos], pos, 0) for pos in range(n)]
-        heapq.heapify(queue)
-        completions: list[tuple | None] = [None] * n
-        shed_records: list[tuple[int, int, str, float]] = []
-        # decision log for the trace exporter; streaming mode keeps its
-        # O(1)-memory promise by not collecting one
-        timeline: list[tuple[float, str, int, int]] | None = (
-            None if streaming else []
-        )
-        kills = 0
-        requeues = 0
-        # kill timestamps are only retained when a monitor wants them
-        kill_times: list[float] | None = [] if monitor is not None else None
-        select = selector.select
-        backoff = policy.backoff
-        max_retries = policy.max_retries
-        # the vectorized engine batches clean segments — stretches where
-        # no fault window is active on any accelerator — through the
-        # kernel; the scalar loop below keeps sole ownership of kills,
-        # requeues and shedding, so anything the kernel cuts (an
-        # admission crossing the next transition or down window) is
-        # simply handed back to it
-        use_batch = engine == "vectorized"
-        services = self._service_matrix(names, specs) if use_batch else None
-        width = len(names)
-        min_batch = 64
-        batch_paused = False
-        no_batch_before = -math.inf
-        loop_span = span("serve.fault_loop", track="serving", requests=n)
-        with loop_span:
-            while queue:
-                if (
-                    use_batch
-                    and not batch_paused
-                    and len(queue) >= min_batch
-                    and queue[0][0] >= no_batch_before
-                ):
-                    t0 = queue[0][0]
-                    if all(
-                        view.window_index_at(order, t0) is None
-                        for order in range(width)
-                    ):
-                        nxt = view.next_transition_after(t0)
-                        limit = math.inf if nxt is None else nxt
-                        batch = []
-                        while queue and queue[0][0] < limit:
-                            batch.append(heapq.heappop(queue))
-                        if len(batch) >= min_batch:
-                            times = np.asarray([item[0] for item in batch])
-                            cids = np.asarray(
-                                [class_ids[item[1]] for item in batch],
-                                dtype=np.int64,
-                            )
-                            next_downs = tuple(
-                                nd if (nd := view.next_down_after(order, t0))
-                                is not None
-                                else math.inf
-                                for order in range(width)
-                            )
-                            accepted, accs, starts, fins = dispatch_segment(
-                                times, cids, services, free, limit, next_downs
-                            )
-                            for item, acc, start, fin in zip(
-                                batch, accs.tolist(), starts.tolist(), fins.tolist()
-                            ):
-                                completions[item[1]] = (acc, start, fin, item[2])
-                            for item in batch[accepted:]:
-                                heapq.heappush(queue, item)
-                            if accepted == 0:
-                                # boundary-blocked segment: the scalar
-                                # loop finishes it without re-draining
-                                no_batch_before = limit
-                            elif accepted < len(batch):
-                                batch_paused = True
-                            continue
-                        for item in batch:
-                            heapq.heappush(queue, item)
-                        no_batch_before = limit
-                t, pos, retries = heapq.heappop(queue)
-                batch_paused = False
-                best = select(t, class_ids[pos])
-                if best is None:
-                    nxt = view.next_transition_after(t)
-                    if nxt is None:
-                        shed_records.append(
-                            (pos, retries, "no_feasible_accelerator", t)
-                        )
-                        continue
-                    requeues += 1
-                    if timeline is not None:
-                        timeline.append((nxt, "requeue", pos, retries))
-                    heapq.heappush(queue, (nxt, pos, retries))
-                    continue
-                order, start, finish = best
-                next_down = view.next_down_after(order, start)
-                if next_down is not None and next_down < finish:
-                    # killed: the down window opened mid-execution
-                    kills += 1
-                    if kill_times is not None:
-                        kill_times.append(next_down)
-                    if timeline is not None:
-                        timeline.append((next_down, "kill", pos, retries + 1))
-                    free[order] = next_down
-                    if retries + 1 > max_retries:
-                        shed_records.append(
-                            (pos, retries + 1, "retry_budget_exhausted", next_down)
-                        )
-                        continue
-                    heapq.heappush(
-                        queue, (next_down + backoff(retries + 1), pos, retries + 1)
-                    )
-                    continue
-                free[order] = finish
-                completions[pos] = (order, start, finish, retries)
+        with span(
+            "serve.fault_loop", track="serving", requests=len(arrivals)
+        ) as loop_span:
+            outcome = _fault_loop(
+                arrivals,
+                class_ids,
+                view,
+                selector.select,
+                policy,
+                free,
+                segment_classes=used if engine == "vectorized" else None,
+                # streaming mode keeps its O(1)-memory promise by not
+                # collecting a decision log
+                timeline=not streaming,
+                kill_times=monitor is not None,
+            )
             loop_span.set(
-                kills=kills, requeues=requeues, shed=len(shed_records)
+                kills=outcome.kills,
+                requeues=outcome.requeues,
+                shed=len(outcome.shed_records),
             )
 
-        shed_records.sort()
-        makespan = max(
-            (entry[2] for entry in completions if entry is not None), default=0.0
-        )
+        positions = np.flatnonzero(outcome.accelerators >= 0)
+        if len(positions) == len(arrivals):
+            accs, starts, fins, retries = (
+                outcome.accelerators, outcome.starts, outcome.finishes, outcome.retries
+            )
+        else:
+            arrivals = arrivals[positions]
+            accs = outcome.accelerators[positions]
+            starts = outcome.starts[positions]
+            fins = outcome.finishes[positions]
+            retries = outcome.retries[positions]
+        shed_records = sorted(outcome.shed_records)
+        makespan = float(fins.max()) if len(fins) else 0.0
         downtime = {name: 0.0 for name in names}
         downtime.update(faults.downtime(makespan))
+        total_retries = int(retries.sum()) + sum(record[1] for record in shed_records)
         GLOBAL_STATS.record_faults(
             FaultStats(
                 windows=len(faults),
-                kills=kills,
-                retries=sum(entry[3] for entry in completions if entry is not None)
-                + sum(record[1] for record in shed_records),
-                requeues=requeues,
+                kills=outcome.kills,
+                retries=total_retries,
+                requeues=outcome.requeues,
                 shed=len(shed_records),
-                completed=sum(1 for entry in completions if entry is not None),
+                completed=len(positions),
             )
         )
 
-        if streaming or monitor is not None:
-            positions = [pos for pos in range(n) if completions[pos] is not None]
         if monitor is not None:
-            # the fault loop has no flush hook; feed the monitor the
-            # final outcomes in the same arrival-ordered chunk_size
-            # blocks the streaming report consumes below
-            for lo in range(0, len(positions), chunk_size):
-                batch = positions[lo : lo + chunk_size]
-                monitor.observe_chunk(
-                    arrivals[batch],
-                    np.asarray([completions[pos][1] for pos in batch]),
-                    np.asarray([completions[pos][2] for pos in batch]),
-                )
+            _feed_monitor(monitor, arrivals, starts, fins, chunk_size)
             if shed_records:
                 monitor.observe_sheds(
                     np.asarray([record[3] for record in shed_records])
                 )
-            if kill_times:
-                monitor.observe_kills(np.asarray(kill_times))
+            if outcome.kill_times:
+                monitor.observe_kills(np.asarray(outcome.kill_times))
         if streaming:
+            report = StreamingServingReport(names, quantile_error=quantile_error)
             for lo in range(0, len(positions), chunk_size):
-                batch = positions[lo : lo + chunk_size]
+                hi = lo + chunk_size
                 report.observe_batch(
-                    np.asarray([completions[pos][0] for pos in batch], dtype=np.int64),
-                    arrivals[batch],
-                    np.asarray([completions[pos][1] for pos in batch]),
-                    np.asarray([completions[pos][2] for pos in batch]),
+                    accs[lo:hi], arrivals[lo:hi], starts[lo:hi], fins[lo:hi]
                 )
             report.record_fault_metadata(
                 shed_count=len(shed_records),
-                total_retries=sum(
-                    entry[3] for entry in completions if entry is not None
-                )
-                + sum(record[1] for record in shed_records),
-                kills=kills,
-                requeues=requeues,
+                total_retries=total_retries,
+                kills=outcome.kills,
+                requeues=outcome.requeues,
                 fault_events=faults.events(),
                 downtime=downtime,
             )
             return report
-
-        completed = [
-            CompletedRequest(
-                request=requests[pos],
-                accelerator=names[entry[0]],
-                start=entry[1],
-                finish=entry[2],
-                retries=entry[3],
-            )
-            for pos, entry in enumerate(completions)
-            if entry is not None
-        ]
-        shed = [
-            ShedRequest(request=requests[pos], retries=r, reason=reason, time=when)
-            for pos, r, reason, when in shed_records
-        ]
-        fault_timeline = sorted(
-            (when, kind, requests[pos].request_id, retries)
-            for when, kind, pos, retries in (timeline or [])
-        )
-        return ServingReport(
-            completed=completed,
-            shed=shed,
+        return ServingReport.from_arrays(
+            source,
+            names,
+            positions,
+            arrivals,
+            accs,
+            starts,
+            fins,
+            retries,
+            shed_records=shed_records,
+            timeline=outcome.timeline,
             fault_events=faults.events(),
             downtime=downtime,
-            kills=kills,
-            requeues=requeues,
-            fault_timeline=fault_timeline,
+            kills=outcome.kills,
+            requeues=outcome.requeues,
         )
 
     def _run_scan(self, trace: Union[Sequence[Request], SoATrace]) -> ServingReport:
-        """The seed dispatch loop: linear scan, one object per request."""
+        """The seed dispatch loop: linear scan over ``Request`` objects."""
         if isinstance(trace, SoATrace):
             trace = trace.materialize()
-        free_at = {name: 0.0 for name in self.partition.designs}
-        completed = []
-        for request in sorted(trace, key=lambda r: r.arrival):
+        names = list(self.partition.designs)
+        free_at = {name: 0.0 for name in names}
+        order_of = {name: order for order, name in enumerate(names)}
+        ordered = sorted(trace, key=lambda r: r.arrival)
+        accs: list[int] = []
+        starts: list[float] = []
+        finishes: list[float] = []
+        for request in ordered:
             best_name, best_finish, best_start = None, float("inf"), 0.0
             for name in free_at:
                 try:
@@ -1109,42 +1359,44 @@ class ServingSimulator:
             if best_name is None:
                 raise ValueError(f"no accelerator can serve {request.shape}")
             free_at[best_name] = best_finish
-            completed.append(
-                CompletedRequest(
-                    request=request,
-                    accelerator=best_name,
-                    start=best_start,
-                    finish=best_finish,
-                )
-            )
-        return ServingReport(completed=completed)
+            accs.append(order_of[best_name])
+            starts.append(best_start)
+            finishes.append(best_finish)
+        return ServingReport.from_arrays(
+            ordered,
+            names,
+            np.arange(len(ordered)),
+            np.asarray([request.arrival for request in ordered], dtype=np.float64),
+            np.asarray(accs, dtype=np.int64),
+            np.asarray(starts, dtype=np.float64),
+            np.asarray(finishes, dtype=np.float64),
+        )
 
     def _normalize(
-        self,
-        trace: Union[Sequence[Request], SoATrace],
-        need_requests: bool,
-        as_arrays: bool = False,
-    ) -> tuple[np.ndarray, Sequence[int], list[GemmShape], list[Request] | None]:
-        """Arrival-sorted SoA view of ``trace`` (+ Request list if needed).
+        self, trace: Union[Sequence[Request], SoATrace]
+    ) -> tuple[np.ndarray, np.ndarray, list[GemmShape], Union[list[Request], SoATrace]]:
+        """Arrival-sorted SoA view of ``trace``:
+        ``(arrivals, class_ids, classes, source)``.
 
-        ``as_arrays=True`` keeps the class ids as an int64 array (the
-        vectorized engine's native form — an ``SoATrace`` passes through
-        without a single element being boxed); the default returns the
-        list the scalar engines index fastest.
+        An ``SoATrace`` passes through without a single element being
+        boxed and is its own request source; a ``Request`` list is sorted
+        by arrival, and the sorted list is the source an exact report's
+        lazily built rows point at.
         """
         if isinstance(trace, SoATrace):
-            requests = trace.materialize() if need_requests else None
-            class_ids = trace.shape_ids if as_arrays else trace.shape_ids.tolist()
-            return trace.arrivals, class_ids, list(trace.shapes), requests
+            return trace.arrivals, trace.shape_ids, list(trace.shapes), trace
         ordered = sorted(trace, key=lambda r: r.arrival)
         class_index: dict[GemmShape, int] = {}
-        class_ids = [
-            class_index.setdefault(request.shape, len(class_index))
-            for request in ordered
-        ]
-        arrivals = np.asarray([request.arrival for request in ordered])
-        if as_arrays:
-            class_ids = np.asarray(class_ids, dtype=np.int64)
+        class_ids = np.asarray(
+            [
+                class_index.setdefault(request.shape, len(class_index))
+                for request in ordered
+            ],
+            dtype=np.int64,
+        )
+        arrivals = np.asarray(
+            [request.arrival for request in ordered], dtype=np.float64
+        )
         return arrivals, class_ids, list(class_index), ordered
 
     def _class_specs(
@@ -1153,11 +1405,13 @@ class ServingSimulator:
         """Flat ``(acc, service, ...)`` dispatch spec per shape class.
 
         Every engine but the clean scan reads its service times from
-        here, so this is where a NaN service fails loudly, naming the
-        offending accelerator and shape class: ``inf`` legitimately
-        marks infeasible pairs (it never wins a strict-less
-        earliest-finish comparison), but NaN poisons every comparison
-        and would silently desynchronize the engines from the scan.
+        here, so this is where a service that would desynchronize the
+        engines from the scan fails loudly.  An infinite service is
+        treated like an infeasible pair: the scan never picks it (it
+        cannot win a strict-less earliest-finish comparison), so a class
+        whose every service is infinite raises the scan's "no
+        accelerator can serve" error on every engine.  NaN poisons every
+        comparison and raises, naming the accelerator and shape class.
         """
         names = list(self.partition.designs)
         specs: list[tuple] = []
@@ -1168,7 +1422,7 @@ class ServingSimulator:
             flat: list = []
             for order, name in enumerate(names):
                 service = self._service_or_none(name, shape)
-                if service is None:
+                if service is None or service == math.inf:
                     continue
                 if math.isnan(service):
                     raise ValueError(
@@ -1203,29 +1457,19 @@ class ServingSimulator:
         monitor: "ServingMonitor | None" = None,
     ) -> ServingReport | StreamingServingReport:
         names = list(self.partition.designs)
-        vectorized = engine == "vectorized"
-        arrivals, class_ids, classes, requests = self._normalize(
-            trace, need_requests=not streaming, as_arrays=vectorized
+        arrivals, class_ids, classes, source = self._normalize(trace)
+        n = len(arrivals)
+        specs = self._class_specs(
+            classes, set(_used_classes(class_ids, len(classes))), dispatch
         )
-        if streaming:
-            report = StreamingServingReport(names, quantile_error=quantile_error)
-        used = (
-            # bincount instead of np.unique: no million-element sort
-            set(
-                np.flatnonzero(
-                    np.bincount(class_ids, minlength=len(classes))
-                ).tolist()
-            )
-            if vectorized
-            else set(class_ids)
-        )
-        specs = self._class_specs(classes, used, dispatch)
         # dispatched service lookups are cache hits by construction
-        self.stats.cache_hits += len(class_ids)
+        self.stats.cache_hits += n
         free = [0.0] * len(names)
 
         if streaming:
-            def flush(base: int, accs: list, starts: list, finishes: list) -> None:
+            report = StreamingServingReport(names, quantile_error=quantile_error)
+
+            def flush(base: int, accs, starts, finishes) -> None:
                 report.observe_batch(
                     np.asarray(accs, dtype=np.int64),
                     arrivals[base : base + len(accs)],
@@ -1233,25 +1477,22 @@ class ServingSimulator:
                     np.asarray(finishes),
                 )
         else:
-            completed: list[CompletedRequest] = []
+            out_acc = np.empty(n, dtype=np.int64)
+            out_start = np.empty(n)
+            out_fin = np.empty(n)
 
-            def flush(base: int, accs: list, starts: list, finishes: list) -> None:
-                for offset in range(len(accs)):
-                    completed.append(
-                        CompletedRequest(
-                            request=requests[base + offset],
-                            accelerator=names[accs[offset]],
-                            start=starts[offset],
-                            finish=finishes[offset],
-                        )
-                    )
+            def flush(base: int, accs, starts, finishes) -> None:
+                hi = base + len(accs)
+                out_acc[base:hi] = accs
+                out_start[base:hi] = starts
+                out_fin[base:hi] = finishes
 
         if GLOBAL_TRACER.enabled:
             # wrap only when tracing: the disabled path keeps the raw
             # flush callback with zero indirection
             inner_flush = flush
 
-            def flush(base: int, accs: list, starts: list, finishes: list) -> None:
+            def flush(base: int, accs, starts, finishes) -> None:
                 with span(
                     "serve.report_fold",
                     track="serving",
@@ -1266,7 +1507,7 @@ class ServingSimulator:
             # never influence (byte-identity is conformance-gated)
             pre_monitor_flush = flush
 
-            def flush(base: int, accs: list, starts: list, finishes: list) -> None:
+            def flush(base: int, accs, starts, finishes) -> None:
                 pre_monitor_flush(base, accs, starts, finishes)
                 monitor.observe_chunk(
                     arrivals[base : base + len(accs)],
@@ -1274,20 +1515,7 @@ class ServingSimulator:
                     np.asarray(finishes, dtype=np.float64),
                 )
 
-        if not vectorized:
-            _dispatch_table(
-                arrivals.tolist(), class_ids, specs, free, flush, chunk_size
-            )
-        else:
-            if not streaming:
-                # the exact report holds Python floats, not NumPy scalars
-                array_flush = flush
-
-                def flush(base, accs, starts, finishes):
-                    array_flush(
-                        base, accs.tolist(), starts.tolist(), finishes.tolist()
-                    )
-
+        if engine == "vectorized":
             dispatch_vectorized(
                 arrivals,
                 class_ids,
@@ -1296,7 +1524,15 @@ class ServingSimulator:
                 flush,
                 chunk_size,
             )
-        return report if streaming else ServingReport(completed=completed)
+        else:
+            _dispatch_table(
+                arrivals.tolist(), class_ids.tolist(), specs, free, flush, chunk_size
+            )
+        if streaming:
+            return report
+        return ServingReport.from_arrays(
+            source, names, np.arange(n), arrivals, out_acc, out_start, out_fin
+        )
 
 
 @dataclass(frozen=True)

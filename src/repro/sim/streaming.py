@@ -493,7 +493,53 @@ class QuantileSketch:
         return self
 
 
-class StreamingServingReport:
+class FaultAccounting:
+    """The fault-accounting block of a serving report.
+
+    :class:`repro.sim.serving.ServingReport` and
+    :class:`StreamingServingReport` both inherit it, so the CLI fault
+    block, the chaos conformance harness and the metrics exporter read
+    one definition.  The host class provides ``count``, ``shed_count``,
+    ``total_retries``, ``kills``, ``requeues``, ``fault_events``,
+    ``downtime`` and :meth:`_availability_horizon`.
+    """
+
+    def _availability_horizon(self) -> float:
+        raise NotImplementedError
+
+    def availability(self) -> dict[str, float]:
+        """Per-accelerator up-fraction of the exposure horizon, in ``[0, 1]``."""
+        horizon = self._availability_horizon()
+        if horizon <= 0:
+            return {name: 1.0 for name in self.downtime}
+        return {
+            name: min(1.0, max(0.0, 1.0 - down / horizon))
+            for name, down in self.downtime.items()
+        }
+
+    @property
+    def request_availability(self) -> float:
+        """Completed / offered requests (1.0 when nothing was offered)."""
+        total = self.count + self.shed_count
+        if total == 0:
+            return 1.0
+        return self.count / total
+
+    def fault_summary(self) -> dict:
+        """The fault-accounting block the CLI and experiments print."""
+        return {
+            "completed": self.count,
+            "shed": self.shed_count,
+            "kills": self.kills,
+            "retries": self.total_retries,
+            "requeues": self.requeues,
+            "fault_events": len(self.fault_events),
+            "request_availability": self.request_availability,
+            "availability": self.availability(),
+        }
+
+
+class StreamingServingReport(FaultAccounting):
     """O(1)-memory serving report: running aggregates + quantile sketches.
 
     Mirrors :class:`repro.sim.serving.ServingReport`'s read API
@@ -652,30 +698,13 @@ class StreamingServingReport:
         self.fault_events = list(fault_events or [])
         self.downtime = dict(downtime or {})
 
-    def availability(self) -> dict[str, float]:
-        """Per-accelerator up-fraction of the exposure horizon, in ``[0, 1]``.
-
-        A single report's horizon is its makespan.  A merged fleet
+    def _availability_horizon(self) -> float:
+        """A single report's horizon is its makespan.  A merged fleet
         report's horizon is the *sum* of the merged replicas' makespans
         (fleet-seconds): each replica contributes its own exposure and
-        its own downtime, so the fraction is the fleet-wide up time over
-        fleet-wide run time.
-        """
-        horizon = self._makespan if self.replicas == 1 else self._merged_horizon
-        if horizon <= 0:
-            return {name: 1.0 for name in self.downtime}
-        return {
-            name: min(1.0, max(0.0, 1.0 - down / horizon))
-            for name, down in self.downtime.items()
-        }
-
-    @property
-    def request_availability(self) -> float:
-        """Completed / offered requests (1.0 when nothing was offered)."""
-        total = self.count + self.shed_count
-        if total == 0:
-            return 1.0
-        return self.count / total
+        its own downtime, so :meth:`availability` is the fleet-wide up
+        time over fleet-wide run time."""
+        return self._makespan if self.replicas == 1 else self._merged_horizon
 
     def merge(self, other: "StreamingServingReport") -> "StreamingServingReport":
         """Fold a sibling shard's report into this one (fleet union).
@@ -719,18 +748,6 @@ class StreamingServingReport:
         for name, down in other.downtime.items():
             self.downtime[name] = self.downtime.get(name, 0.0) + down
         return self
-
-    def fault_summary(self) -> dict:
-        return {
-            "completed": self.count,
-            "shed": self.shed_count,
-            "kills": self.kills,
-            "retries": self.total_retries,
-            "requeues": self.requeues,
-            "fault_events": len(self.fault_events),
-            "request_availability": self.request_availability,
-            "availability": self.availability(),
-        }
 
     def as_dict(self) -> dict:
         summary = {

@@ -9,11 +9,14 @@ import pytest
 from repro.core.multi_acc import AcceleratorPartition
 from repro.mapping.configs import config_by_name
 from repro.sim.chaos import FaultPolicy, FaultSchedule, chaos_schedule
+from repro.sim.dispatch_batch import native_available
 from repro.sim.serving import ServingSimulator, generate_trace
+from repro.workloads.gemm import GemmShape
 
 from .harness import (
     SHAPES,
     VECTORIZED,
+    StubPartition,
     assert_engines_identical,
     dispatch_rows,
     fast_engines,
@@ -140,3 +143,106 @@ def test_empty_trace_rejected_uniformly(dispatch):
                 trace, dispatch=dispatch, faults=_schedule_for(2),
                 fault_policy=FaultPolicy(max_retries=1),
             )
+
+
+class _SegmentSpy:
+    """Records the service matrix of every segment the fault loop batches."""
+
+    def __init__(self, monkeypatch):
+        from repro.sim import serving
+
+        self.matrices = []
+        original = serving.dispatch_segment
+
+        def spy(times, class_ids, services, *args):
+            self.matrices.append(services.copy())
+            return original(times, class_ids, services, *args)
+
+        monkeypatch.setattr(serving, "dispatch_segment", spy)
+
+
+def test_device_degraded_segments_identical_on_real_partition(monkeypatch):
+    """``chaos_schedule(..., device=VCK5000)`` on C5+C3: degraded
+    segments go through the kernel, both-down spells requeue, and every
+    engine's exact report stays byte-identical to the scan."""
+    import numpy as np
+
+    from repro.hw.specs import VCK5000
+
+    partition = AcceleratorPartition([config_by_name("C5"), config_by_name("C3")])
+    shapes = [SHAPES[0], GemmShape(512, 512, 512), GemmShape(2048, 1024, 512)]
+    trace = generate_trace(shapes, 3000, 0.9e-3, seed=1)
+    schedule = chaos_schedule(
+        list(partition.designs), 3000 * 0.9e-3, seed=21, device=VCK5000
+    )
+    assert {w.kind for w in schedule.windows} == {"down", "degraded"}
+    spy = _SegmentSpy(monkeypatch)
+    result = assert_engines_identical(trace, partition, faults=schedule)
+    report = result["report"]
+    assert report.requeues > 0 and report.kills > 0
+    if native_available():
+        simulator = ServingSimulator(partition)
+        simulator.prewarm(shapes)
+        healthy = simulator._service_matrix(
+            list(partition.designs),
+            simulator._class_specs(shapes, set(range(len(shapes))), "vectorized"),
+        )
+        degraded = [
+            matrix
+            for matrix in spy.matrices
+            if np.isfinite(matrix).all() and not np.array_equal(matrix, healthy)
+        ]
+        assert degraded, "no device-degraded segment went through the kernel"
+
+
+def test_dead_class_in_degraded_segment_stays_scalar(monkeypatch):
+    """A class whose only feasible accelerator is down while another is
+    degraded has no finite lane: that segment is never batched, and its
+    requests requeue exactly as the scan requeues them."""
+    import numpy as np
+
+    fast, only = SHAPES[0], SHAPES[1]
+    partition = StubPartition(
+        {
+            "acc0": {fast: 0.001, only: None},
+            "acc1": {fast: 0.0015, only: 0.002},
+        }
+    )
+    trace = generate_trace([fast, only], 600, 1e-3, seed=5)
+    schedule = FaultSchedule.degraded(
+        "acc0", 0.1, 0.4, factor=2.0
+    ) + FaultSchedule.down("acc1", 0.2, 0.3)
+    spy = _SegmentSpy(monkeypatch)
+    result = assert_engines_identical(trace, partition, faults=schedule)
+    scan = ServingSimulator(partition).run(trace, dispatch="scan", faults=schedule)
+    report = result["report"]
+    assert report.requeues == scan.requeues > 0
+    assert report.fault_timeline == scan.fault_timeline
+    for matrix in spy.matrices:
+        # every used class keeps a finite lane in every batched segment
+        assert np.isfinite(matrix.min(axis=0)).all()
+    if native_available():
+        assert any(
+            matrix[0, 0] == 0.002 for matrix in spy.matrices
+        ), "the degraded-only segments were not batched"
+
+
+@pytest.mark.parametrize("faulted", [False, True], ids=["clean", "faulted"])
+@pytest.mark.parametrize("dispatch", ["scan", "table", VECTORIZED, "auto"])
+def test_all_infinite_class_rejected_uniformly(dispatch, faulted):
+    """A shape class whose every service time is ``inf`` cannot be served:
+    every engine raises the scan's error instead of committing infinite
+    finishes, dropping requests, or shedding them."""
+    import math
+
+    fine, never = SHAPES[0], SHAPES[2]
+    partition = StubPartition(
+        {
+            "acc0": {fine: 0.001, never: math.inf},
+            "acc1": {fine: 0.002, never: math.inf},
+        }
+    )
+    trace = generate_trace([fine, never], 200, 2e-3, seed=4)
+    faults = FaultSchedule.down("acc0", 0.05, 0.15) if faulted else None
+    with pytest.raises(ValueError, match="no accelerator can serve"):
+        ServingSimulator(partition).run(trace, dispatch=dispatch, faults=faults)
